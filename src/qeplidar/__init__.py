@@ -14,13 +14,11 @@ from .model import (
 )
 from .source import (
     EmissionRates,
-    PairEmission,
     PhaseMatchModel,
     PumpSpec,
     SpectralBand,
     jsi_weight,
     pulse_time,
-    sample_pulse_emissions,
     sample_pulse_range,
 )
 from .channel import (
@@ -32,7 +30,7 @@ from .channel import (
     diffraction_angle,
     dispersed_arrival,
 )
-from .detect import DetectorSpec, TagStream, TimeTag, detect_channel, merge_streams, read_tags, write_tags
+from .detect import DetectorSpec, TagStream, detect_channel, merge_streams, read_tags, write_tags
 from .analysis import (
     CalibrationMap,
     FoldedEvents,

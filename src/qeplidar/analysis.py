@@ -13,6 +13,7 @@ windows are half-open [lo, hi).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +50,13 @@ class InsufficientDataError(AnalysisError):
 # Pulse-frame folding
 
 
-@dataclass
+@dataclass(frozen=True)
 class FoldedEvents:
     """Herald/probe events referenced to their nearest pump pulse.
 
     Event arrays are sorted by (pulse_index, relative time); relative times
-    live in [-T/2, T/2] around the reconstructed pulse instant.
+    live in [-T/2, T/2] around the reconstructed pulse instant.  The arrays
+    are read-only by contract: window queries reuse a view built once.
     """
 
     herald_pulse: np.ndarray
@@ -68,14 +70,18 @@ class FoldedEvents:
     def half_period(self) -> float:
         return self.period_ps / 2.0
 
-    def events(self):
-        """Combined (channel, pulse_index, relative_ps) arrays."""
-        channel = np.concatenate([
-            np.full(self.herald_pulse.size, CH_HERALD, dtype=np.uint8),
-            np.full(self.probe_pulse.size, CH_PROBE, dtype=np.uint8)])
-        pulse = np.concatenate([self.herald_pulse, self.probe_pulse])
-        rel = np.concatenate([self.herald_rel, self.probe_rel])
-        return channel, pulse, rel
+    @functools.cached_property
+    def _probe_by_rel(self):
+        """(relative time, pulse) of the probe events, sorted by relative
+        time; built on the first window query and reused by later ones."""
+        order = np.argsort(self.probe_rel, kind="stable")
+        return self.probe_rel[order], self.probe_pulse[order]
+
+    def probe_pulses_in_window(self, lo: float, hi: float) -> np.ndarray:
+        """Sorted pulse indices of the probe events with rel in [lo, hi)."""
+        rel, pulse = self._probe_by_rel
+        i0, i1 = np.searchsorted(rel, (lo, hi), "left")
+        return np.sort(pulse[i0:i1], kind="stable")
 
 
 def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
@@ -281,21 +287,6 @@ class RidgeBin:
     n_acc: float
     car: float
     car_is_lower_bound: bool
-    fit: GaussianFitResult | None = None
-
-
-class _ProbeIndex:
-    """Probe events sorted by relative time, for fast window range queries."""
-
-    def __init__(self, folded: FoldedEvents):
-        order = np.argsort(folded.probe_rel, kind="stable")
-        self.rel_sorted = folded.probe_rel[order]
-        self.pulse_by_rel = folded.probe_pulse[order]
-
-    def pulses_in_window(self, lo: float, hi: float) -> np.ndarray:
-        i0 = np.searchsorted(self.rel_sorted, lo, "left")
-        i1 = np.searchsorted(self.rel_sorted, hi, "left")
-        return np.sort(self.pulse_by_rel[i0:i1], kind="stable")
 
 
 def _count_shifted(window_pulses: np.ndarray, herald_sel_pulses, shift) -> int:
@@ -303,14 +294,6 @@ def _count_shifted(window_pulses: np.ndarray, herald_sel_pulses, shift) -> int:
     start = np.searchsorted(window_pulses, herald_sel_pulses + shift, "left")
     stop = np.searchsorted(window_pulses, herald_sel_pulses + shift, "right")
     return int((stop - start).sum())
-
-
-def _count_window_pairs(probe_index: _ProbeIndex, herald_sel_pulses,
-                        probe_rel_window, shift):
-    """Count (herald, probe) combos with probe_pulse = herald_pulse + shift
-    and probe rel inside [lo, hi)."""
-    return _count_shifted(probe_index.pulses_in_window(*probe_rel_window),
-                          herald_sel_pulses, shift)
 
 
 def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
@@ -330,7 +313,6 @@ def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
     if ih.size == 0:
         return []
     hbin = _bin_index(folded.herald_rel[ih], edges)
-    probe_index = _ProbeIndex(folded)
     half_w = window_ps / 2.0
     shifts = [k for k in range(-(n_acc_windows // 2), n_acc_windows // 2 + 1)
               if k != 0][:n_acc_windows]
@@ -344,16 +326,15 @@ def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
                                rel_p.max() + 2 * bin_width_ps, bin_width_ps)
         hist, _ = np.histogram(rel_p, bins=hist_edges)
         centers = 0.5 * (hist_edges[:-1] + hist_edges[1:])
-        fit = None
         try:
-            fit = fit_gaussian_peak(centers, hist)
-            peak = fit.mean_ps
+            peak = fit_gaussian_peak(centers, hist).mean_ps
         except AnalysisError:
             peak = float(centers[np.argmax(hist)])
         herald_lo, herald_hi = edges[b], edges[b + 1]
         h_in_bin = (folded.herald_rel >= herald_lo) & (folded.herald_rel < herald_hi)
         h_pulses = folded.herald_pulse[h_in_bin]
-        window_pulses = probe_index.pulses_in_window(peak - half_w, peak + half_w)
+        window_pulses = folded.probe_pulses_in_window(peak - half_w,
+                                                      peak + half_w)
         n_cc = _count_shifted(window_pulses, h_pulses, 0)
         acc_counts = [_count_shifted(window_pulses, h_pulses, k)
                       for k in shifts]
@@ -365,7 +346,7 @@ def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
             car = float(n_cc * len(shifts))
             lower_bound = True
         out.append(RidgeBin(int(b), float(0.5 * (herald_lo + herald_hi)),
-                            peak, n_cc, n_acc, car, lower_bound, fit))
+                            peak, n_cc, n_acc, car, lower_bound))
     return out
 
 
@@ -444,14 +425,11 @@ def count_sc(folded: FoldedEvents, window: CountWindow) -> int:
     return int(np.count_nonzero((folded.probe_rel >= lo) & (folded.probe_rel < hi)))
 
 
-def count_cc(folded: FoldedEvents, window: CountWindow,
-             probe_index: _ProbeIndex | None = None) -> int:
+def count_cc(folded: FoldedEvents, window: CountWindow) -> int:
     lo_h, hi_h = window.herald_interval
     sel = (folded.herald_rel >= lo_h) & (folded.herald_rel < hi_h)
-    if probe_index is None:
-        probe_index = _ProbeIndex(folded)
-    return _count_window_pairs(probe_index, folded.herald_pulse[sel],
-                               window.probe_interval, 0)
+    return _count_shifted(folded.probe_pulses_in_window(*window.probe_interval),
+                          folded.herald_pulse[sel], 0)
 
 
 def _ratio(n_on: float, n_off: float) -> RatioResult:
@@ -471,9 +449,7 @@ def snr_classical(on: FoldedEvents, off: FoldedEvents,
 def snr_quantum(on: FoldedEvents, off: FoldedEvents,
                 windows: list) -> list:
     """Per-window quantum SNR from pulse-synchronized coincidences."""
-    idx_on, idx_off = _ProbeIndex(on), _ProbeIndex(off)
-    return [_ratio(count_cc(on, w, idx_on), count_cc(off, w, idx_off))
-            for w in windows]
+    return [_ratio(count_cc(on, w), count_cc(off, w)) for w in windows]
 
 
 def snr_enhancement(snr_q: RatioResult, snr_c: RatioResult) -> RatioResult:

@@ -71,12 +71,6 @@ class DetectionStats:
     dropped_dead_time: int = 0
 
 
-@dataclass(frozen=True)
-class TimeTag:
-    channel: int
-    timestamp_ps: int
-
-
 @dataclass
 class TagStream:
     """Time-sorted detection events of one measurement configuration."""
@@ -104,10 +98,6 @@ class TagStream:
 
     def channel_times(self, channel: int) -> np.ndarray:
         return self.timestamps[self.channels == channel]
-
-    def tags(self):
-        for ch, ts in zip(self.channels, self.timestamps):
-            yield TimeTag(int(ch), int(ts))
 
 
 def apply_dead_time(timestamps: np.ndarray, dead_time_ps: float) -> np.ndarray:
@@ -225,8 +215,10 @@ def read_tags(path) -> TagStream:
         if bad.size:
             offset = HEADER.size + int(bad[0] + 1) * _RECORD_DTYPE.itemsize
             raise TagFormatError(f"unsorted payload at offset {offset}")
-    if np.any(records["channel"] > CH_PROBE):
-        raise TagFormatError("unknown channel id in payload")
+    bad = np.flatnonzero(records["channel"] > CH_PROBE)
+    if bad.size:
+        offset = HEADER.size + int(bad[0]) * _RECORD_DTYPE.itemsize
+        raise TagFormatError(f"unknown channel id in payload at offset {offset}")
     duration = int(ts[-1]) if ts.size else 0
     return TagStream(records["channel"].copy(), ts.copy(), duration,
                      fingerprint, int(period))

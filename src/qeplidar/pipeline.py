@@ -10,6 +10,8 @@ is assembled as the union of independently detected components:
     herald channel = pair+single heralds + darks
     REF channel = every ref_divider-th pump pulse
 
+Detector dead time then acts once on each merged herald/probe channel.
+
 Emission generation is chunked over pulse blocks; the counter-based
 per-pulse randomness makes the result independent of block size, evaluation
 order, and worker count.
@@ -20,15 +22,15 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy import ndimage
 
 from . import analysis, rng
 from .channel import propagate_herald_batch, propagate_probe_batch, sample_noise_arrivals
-from .detect import (CH_HERALD, CH_PROBE, CH_REF, DetectionStats, DetectorSpec,
-                     TagStream, apply_dead_time, detect_channel, merge_streams)
+from .detect import (CH_HERALD, CH_PROBE, CH_REF, DetectorSpec,
+                     apply_dead_time, detect_channel, merge_streams)
 from .model import bandwidth_frequency_to_wavelength, fwhm_to_sigma
 from .scenario import ScenarioConfig, SweepSpec
 from .source import pulse_time, sample_pulse_range
@@ -41,42 +43,46 @@ class FingerprintMismatchError(ValueError):
     """Stream was produced by a different scenario than the one analyzed."""
 
 
+# One row per propagated emission component: the EmissionBatch fields it
+# reads (pulse, slot, frequency, generation time), its survival substream and
+# the detector side it reaches.  A side's rows concatenate in table order,
+# which fixes the order of that side's detector draws.
+_COMPONENTS = (
+    (("pair_pulse", "pair_slot", "pair_herald_thz", "pair_time_ps"),
+     rng.HERALD_SURVIVAL, "herald"),
+    (("single_herald_pulse", "single_herald_slot", "single_herald_thz",
+      "single_herald_time_ps"), rng.SINGLE_HERALD_SURVIVAL, "herald"),
+    (("pair_pulse", "pair_slot", "pair_probe_thz", "pair_time_ps"),
+     rng.PROBE_SURVIVAL, "probe"),
+    (("single_probe_pulse", "single_probe_slot", "single_probe_thz",
+      "single_probe_time_ps"), rng.SINGLE_PROBE_SURVIVAL, "probe"),
+)
+
+
 def _simulate_block(config: ScenarioConfig, start: int, count: int):
     """True (pre-detector) arrival times contributed by one pulse block."""
     batch = sample_pulse_range(start, count, config.seed, config.rates,
                                config.pump, config.phase_match,
                                config.herald_band, config.probe_band)
-    herald_parts = []
-    probe_parts = []
+    # (propagator, scene geometry it takes); looked up per call, not at import
+    propagators = {"herald": (propagate_herald_batch, ()),
+                   "probe": (propagate_probe_batch, (config.scene, config.grating))}
+    parts = {"herald": [], "probe": []}
+    for fields, stream, side in _COMPONENTS:
+        propagate, geometry = propagators[side]
+        emission = [getattr(batch, name) for name in fields]
+        arrival = propagate(*emission, *geometry, config.dispersion,
+                            config.channels, config.seed, stream)[0]
+        parts[side].append(arrival)
+    return np.concatenate(parts["herald"]), np.concatenate(parts["probe"])
 
-    arr, _ = propagate_herald_batch(batch.pair_pulse, batch.pair_slot,
-                                    batch.pair_herald_thz, batch.pair_time_ps,
-                                    config.dispersion, config.channels,
-                                    config.seed, rng.HERALD_SURVIVAL)
-    herald_parts.append(arr)
-    arr, _ = propagate_herald_batch(batch.single_herald_pulse,
-                                    batch.single_herald_slot,
-                                    batch.single_herald_thz,
-                                    batch.single_herald_time_ps,
-                                    config.dispersion, config.channels,
-                                    config.seed, rng.SINGLE_HERALD_SURVIVAL)
-    herald_parts.append(arr)
 
-    arr, _, _ = propagate_probe_batch(batch.pair_pulse, batch.pair_slot,
-                                      batch.pair_probe_thz, batch.pair_time_ps,
-                                      config.scene, config.grating,
-                                      config.dispersion, config.channels,
-                                      config.seed, rng.PROBE_SURVIVAL)
-    probe_parts.append(arr)
-    arr, _, _ = propagate_probe_batch(batch.single_probe_pulse,
-                                      batch.single_probe_slot,
-                                      batch.single_probe_thz,
-                                      batch.single_probe_time_ps,
-                                      config.scene, config.grating,
-                                      config.dispersion, config.channels,
-                                      config.seed, rng.SINGLE_PROBE_SURVIVAL)
-    probe_parts.append(arr)
-    return np.concatenate(herald_parts), np.concatenate(probe_parts)
+def _merged_channel(parts: list, spec: DetectorSpec) -> np.ndarray:
+    """Time-sorted union of separately detected components, dead-timed once."""
+    tags = np.sort(np.concatenate(parts))
+    if spec.dead_time_ps > 0:
+        tags = apply_dead_time(tags, spec.dead_time_ps)
+    return tags
 
 
 def simulate(config: ScenarioConfig, *, threads: int = 1,
@@ -100,69 +106,45 @@ def simulate(config: ScenarioConfig, *, threads: int = 1,
     probe_true = np.concatenate([r[1] for r in results]) if results \
         else np.empty(0)
 
-    seed = config.seed
     det = config.detectors
-    stats = DetectionStats()
+
+    def detect(true_ps, spec, component):
+        return detect_channel(true_ps, spec, duration_ps,
+                              rng.component_generator(config.seed, component))
+
+    # Photons are thinned and jittered without darks; darks are jittered
+    # without thinning.  Dead time acts on the merged channel only.
+    photons_h = replace(det["herald"], dark_rate_per_s=0.0, dead_time_ps=0.0)
+    photons_p = replace(det["probe"], dark_rate_per_s=0.0, dead_time_ps=0.0)
+    darks_h = replace(det["herald"], quantum_efficiency=1.0, dead_time_ps=0.0)
+    darks_p = replace(det["probe"], quantum_efficiency=1.0, dead_time_ps=0.0)
 
     ref_idx = np.arange(0, n_pulses, config.ref_divider, dtype=np.int64)
     ref_true = pulse_time(ref_idx, config.pump).astype(np.float64) \
         if ref_idx.size else np.empty(0)
-    ref_tags = detect_channel(ref_true, det["ref"], duration_ps,
-                              rng.component_generator(seed, rng.COMP_JITTER_REF),
-                              stats)
-
-    no_dark_h = DetectorSpec(det["herald"].quantum_efficiency,
-                             det["herald"].jitter_fwhm_ps, 0.0, 0.0)
-    no_dark_p = DetectorSpec(det["probe"].quantum_efficiency,
-                             det["probe"].jitter_fwhm_ps, 0.0, 0.0)
-    herald_tags = detect_channel(herald_true, no_dark_h, duration_ps,
-                                 rng.component_generator(seed, rng.COMP_JITTER_HERALD),
-                                 stats)
-    probe_signal_tags = detect_channel(probe_true, no_dark_p, duration_ps,
-                                       rng.component_generator(
-                                           seed, rng.COMP_JITTER_PROBE_SIGNAL),
-                                       stats)
-
+    ref_tags = detect(ref_true, det["ref"], rng.COMP_JITTER_REF)
+    herald_all = _merged_channel(
+        [detect(herald_true, photons_h, rng.COMP_JITTER_HERALD),
+         detect(np.empty(0), darks_h, rng.COMP_DARK_HERALD)], det["herald"])
+    probe_signal = detect(probe_true, photons_p, rng.COMP_JITTER_PROBE_SIGNAL)
+    probe_darks = detect(np.empty(0), darks_p, rng.COMP_DARK_PROBE)
+    noise = np.empty(0, dtype=np.int64)
     if config.channels.noise_rate_per_s > 0:
         noise_true = sample_noise_arrivals(
             config.duration_s, config.channels.noise_rate_per_s,
-            rng.component_generator(seed, rng.COMP_NOISE))
-        noise_tags = detect_channel(noise_true, no_dark_p, duration_ps,
-                                    rng.component_generator(
-                                        seed, rng.COMP_JITTER_PROBE_NOISE),
-                                    stats)
-    else:
-        noise_tags = np.empty(0, dtype=np.int64)
-
-    dark_only_h = DetectorSpec(1.0, det["herald"].jitter_fwhm_ps,
-                               det["herald"].dark_rate_per_s, 0.0)
-    dark_only_p = DetectorSpec(1.0, det["probe"].jitter_fwhm_ps,
-                               det["probe"].dark_rate_per_s, 0.0)
-    herald_darks = detect_channel(np.empty(0), dark_only_h, duration_ps,
-                                  rng.component_generator(seed, rng.COMP_DARK_HERALD),
-                                  stats)
-    probe_darks = detect_channel(np.empty(0), dark_only_p, duration_ps,
-                                 rng.component_generator(seed, rng.COMP_DARK_PROBE),
-                                 stats)
-
-    herald_all = np.sort(np.concatenate([herald_tags, herald_darks]))
-    if det["herald"].dead_time_ps > 0:
-        herald_all = apply_dead_time(herald_all, det["herald"].dead_time_ps)
+            rng.component_generator(config.seed, rng.COMP_NOISE))
+        noise = detect(noise_true, photons_p, rng.COMP_JITTER_PROBE_NOISE)
 
     streams = {}
     for label in config.configurations:
-        probe_on = "probe:on" in label
-        noise_on = "noise:on" in label
         parts = [probe_darks]
-        if probe_on:
-            parts.append(probe_signal_tags)
-        if noise_on:
-            parts.append(noise_tags)
-        probe_all = np.sort(np.concatenate(parts))
-        if det["probe"].dead_time_ps > 0:
-            probe_all = apply_dead_time(probe_all, det["probe"].dead_time_ps)
+        if "probe:on" in label:
+            parts.append(probe_signal)
+        if "noise:on" in label:
+            parts.append(noise)
         streams[label] = merge_streams(
-            {CH_REF: ref_tags, CH_HERALD: herald_all, CH_PROBE: probe_all},
+            {CH_REF: ref_tags, CH_HERALD: herald_all,
+             CH_PROBE: _merged_channel(parts, det["probe"])},
             duration_ps, fingerprint, period_rounded)
     return streams
 

@@ -15,7 +15,6 @@ measurement configurations (common random numbers).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
@@ -65,11 +64,6 @@ def uniforms(seed: int, pulse, stream: int, counter) -> np.ndarray:
     """Uniform doubles in (0, 1), one per broadcast element."""
     h = hash_u64(seed, pulse, stream, counter)
     return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * _U53
-
-
-def normals(seed: int, pulse, stream: int, counter) -> np.ndarray:
-    """Standard normals via the inverse-CDF transform of one uniform each."""
-    return ndtri(uniforms(seed, pulse, stream, counter))
 
 
 def poisson_from_uniform(mean: float, u: np.ndarray) -> np.ndarray:

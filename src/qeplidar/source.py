@@ -154,23 +154,6 @@ class SpectralBand:
         return not (self.hi_nm <= other.lo_nm or other.hi_nm <= self.lo_nm)
 
 
-@dataclass(frozen=True)
-class PairEmission:
-    """One generated photon pair (times in ps, frequencies in THz)."""
-
-    generation_time_ps: int
-    herald_frequency_thz: float
-    probe_frequency_thz: float
-
-
-@dataclass(frozen=True)
-class SingleEmission:
-    """One uncorrelated (Raman-like) single photon."""
-
-    generation_time_ps: int
-    frequency_thz: float
-
-
 @dataclass
 class EmissionBatch:
     """Struct-of-arrays emissions for a contiguous pulse range."""
@@ -188,13 +171,6 @@ class EmissionBatch:
     single_herald_time_ps: np.ndarray
     single_herald_thz: np.ndarray
     single_herald_slot: np.ndarray
-
-    @staticmethod
-    def concatenate(batches: list) -> "EmissionBatch":
-        return EmissionBatch(*[
-            np.concatenate([getattr(b, f.name) for b in batches])
-            for f in EmissionBatch.__dataclass_fields__.values()  # type: ignore[attr-defined]
-        ])
 
 
 def jsi_weight(f_h_thz, f_pr_thz, pump: PumpSpec, pm: PhaseMatchModel):
@@ -348,21 +324,3 @@ def sample_pulse_range(start: int, count: int, seed: int, rates: EmissionRates,
         single_herald_thz=np.asarray(sh_f, dtype=np.float64),
         single_herald_slot=sh_slot,
     )
-
-
-def sample_pulse_emissions(pulse_index: int, seed: int, rates: EmissionRates,
-                           pump: PumpSpec, pm: PhaseMatchModel,
-                           herald_band: SpectralBand, probe_band: SpectralBand,
-                           attempt_cap: int = 1000):
-    """Emissions of a single pulse as (pairs, probe singles, herald singles)."""
-    if pulse_index < 0:
-        raise ValueError("pulse_index must be non-negative")
-    batch = sample_pulse_range(pulse_index, 1, seed, rates, pump, pm,
-                               herald_band, probe_band, attempt_cap)
-    pairs = [PairEmission(int(t), float(fh), float(fp)) for t, fh, fp in
-             zip(batch.pair_time_ps, batch.pair_herald_thz, batch.pair_probe_thz)]
-    probe_singles = [SingleEmission(int(t), float(f)) for t, f in
-                     zip(batch.single_probe_time_ps, batch.single_probe_thz)]
-    herald_singles = [SingleEmission(int(t), float(f)) for t, f in
-                      zip(batch.single_herald_time_ps, batch.single_herald_thz)]
-    return pairs, probe_singles, herald_singles

@@ -323,6 +323,46 @@ def test_snr_trivial_ratios(pump):
     assert same.value == pytest.approx(0.0)
 
 
+def _brute_force_cc(folded, window):
+    """Same-pulse combos inside the half-open window, from every pair."""
+    ih, ip = pulse_pairs(folded)
+    h, p = folded.herald_rel[ih], folded.probe_rel[ip]
+    (lo_h, hi_h), (lo_p, hi_p) = window.herald_interval, window.probe_interval
+    return int(np.count_nonzero((h >= lo_h) & (h < hi_h)
+                                & (p >= lo_p) & (p < hi_p)))
+
+
+def test_coincidence_counts_match_brute_force(pump):
+    gen = np.random.default_rng(5)
+    grid = np.arange(-2000.0, 2001.0, 50.0)
+
+    def events(n):
+        # half the times sit on the 50 ps grid, where the window edges lie
+        pulse = gen.integers(0, 150, n)
+        rel = np.where(gen.random(n) < 0.5, gen.choice(grid, n),
+                       gen.uniform(-2000.0, 2000.0, n))
+        order = np.lexsort((rel, pulse))
+        return pulse[order], rel[order]
+
+    def random_folded(n_herald, n_probe):
+        return FoldedEvents(*events(n_herald), *events(n_probe), 150,
+                            pump.period_ps)
+
+    on, off = random_folded(900, 1500), random_folded(700, 1100)
+    windows = [CountWindow(float(gen.choice(grid)), float(gen.choice(grid)),
+                           100.0) for _ in range(8)]
+    edges = [e for w in windows for e in w.probe_interval]
+    assert np.isin(on.probe_rel, edges).any()
+    expected_on = [_brute_force_cc(on, w) for w in windows]
+    expected_off = [_brute_force_cc(off, w) for w in windows]
+    assert sum(expected_on) > 0 and sum(expected_off) > 0
+    for _ in range(2):  # the second pass reuses each stream's probe view
+        assert [count_cc(on, w) for w in windows] == expected_on
+        rq = snr_quantum(on, off, windows)
+        assert [r.n_on for r in rq] == expected_on
+        assert [r.n_off for r in rq] == expected_off
+
+
 def test_snr_undefined_when_off_empty(pump):
     window = CountWindow(4000.0, -4000.0)
     on = _folded_with_counts(pump, 10, 5)

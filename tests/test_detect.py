@@ -224,6 +224,20 @@ def test_truncated_payload_reports_offset(tmp_path):
         read_tags(path)
 
 
+def test_unknown_channel_reports_offset(tmp_path):
+    stream = _random_stream(10)
+    path = tmp_path / "tags.qtt"
+    write_tags(stream, path)
+    raw = bytearray(path.read_bytes())
+    # channel bytes of records 3 and 6; the first bad record is reported
+    raw[54 + 9 * 3] = 7
+    raw[54 + 9 * 6] = 9
+    path.write_bytes(bytes(raw))
+    with pytest.raises(TagFormatError,
+                       match=f"unknown channel id.* offset {54 + 9 * 3}$"):
+        read_tags(path)
+
+
 def test_unsorted_payload_rejected(tmp_path):
     stream = _random_stream(10)
     path = tmp_path / "tags.qtt"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from qeplidar import cli
-from qeplidar.detect import CH_HERALD, CH_PROBE, CH_REF, read_tags, write_tags
+from qeplidar.detect import (CH_HERALD, CH_PROBE, CH_REF, apply_dead_time,
+                             read_tags, write_tags)
 from qeplidar.pipeline import (
     FingerprintMismatchError,
     analyze,
@@ -64,6 +65,36 @@ def test_common_random_numbers_across_configurations():
     # herald channel identical in both
     assert np.array_equal(streams[ON].channel_times(CH_HERALD),
                           streams[OFF].channel_times(CH_HERALD))
+
+
+def test_dead_time_filters_each_merged_channel_once():
+    # Dead time draws no randomness, so every dead-timed channel equals the
+    # same-seed channel without dead time passed through apply_dead_time.
+    tau = {CH_HERALD: 1e6, CH_PROBE: 1e5}
+    scenario = dict(duration_s=0.01, noise_rate=5e6, dark_h=2e4, dark_p=2e4,
+                    configurations=(ON, OFF, "probe:on|noise:off",
+                                    "probe:off|noise:off"))
+    plain = simulate(loopback_scenario(**scenario))
+    detectors = {
+        "ref": {"jitter_fwhm_ps": 18.8},
+        "herald": {"jitter_fwhm_ps": 89.9, "dark_rate_per_s": 2e4,
+                   "dead_time_ps": tau[CH_HERALD]},
+        "probe": {"jitter_fwhm_ps": 66.43, "dark_rate_per_s": 2e4,
+                  "dead_time_ps": tau[CH_PROBE]},
+    }
+    timed = simulate(loopback_scenario(**scenario, detectors=detectors))
+    assert set(timed) == set(plain)
+    dropped = dict.fromkeys(tau, 0)
+    for label in plain:
+        assert np.array_equal(timed[label].channel_times(CH_REF),
+                              plain[label].channel_times(CH_REF))
+        for ch, dead in tau.items():
+            before = plain[label].channel_times(ch)
+            kept = timed[label].channel_times(ch)
+            assert np.array_equal(kept, apply_dead_time(before, dead)), label
+            assert np.all(np.diff(kept) > dead)
+            dropped[ch] += before.size - kept.size
+    assert all(dropped.values())
 
 
 def test_seed_changes_stream():

@@ -7,7 +7,6 @@ from scipy import stats
 
 from qeplidar import rng
 from qeplidar.source import (
-    EmissionBatch,
     EmissionRates,
     PhaseMatchModel,
     PumpSpec,
@@ -16,7 +15,6 @@ from qeplidar.source import (
     SpectralBand,
     jsi_weight,
     pulse_time,
-    sample_pulse_emissions,
     sample_pulse_range,
     sum_detuning_sigma_thz,
 )
@@ -97,10 +95,11 @@ def test_negative_pulse_index_rejected(pump):
 # Emission sampling
 
 
-def test_zero_rates_give_empty_lists(pump, flat_pm, herald_band, probe_band):
-    pairs, sp, sh = sample_pulse_emissions(123, SEED, EmissionRates(0.0),
-                                           pump, flat_pm, herald_band, probe_band)
-    assert pairs == [] and sp == [] and sh == []
+def test_zero_rates_give_empty_arrays(pump, flat_pm, herald_band, probe_band):
+    batch = sample_pulse_range(123, 1, SEED, EmissionRates(0.0),
+                               pump, flat_pm, herald_band, probe_band)
+    for name in batch.__dataclass_fields__:
+        assert getattr(batch, name).size == 0, name
 
 
 def test_total_pairs_poisson_mean(pump, flat_pm, herald_band, probe_band):
@@ -188,32 +187,29 @@ def test_determinism_and_chunk_independence(pump, flat_pm, herald_band, probe_ba
                                herald_band, probe_band)
     again = sample_pulse_range(0, 3000, SEED, rates, pump, flat_pm,
                                herald_band, probe_band)
-    parts = EmissionBatch.concatenate([
-        sample_pulse_range(0, 1000, SEED, rates, pump, flat_pm, herald_band,
-                           probe_band),
-        sample_pulse_range(1000, 700, SEED, rates, pump, flat_pm, herald_band,
-                           probe_band),
-        sample_pulse_range(1700, 1300, SEED, rates, pump, flat_pm, herald_band,
-                           probe_band),
-    ])
+    chunks = [sample_pulse_range(start, count, SEED, rates, pump, flat_pm,
+                                 herald_band, probe_band)
+              for start, count in ((0, 1000), (1000, 700), (1700, 1300))]
     for field in ("pair_pulse", "pair_herald_thz", "pair_probe_thz",
                   "single_probe_thz", "single_herald_thz"):
+        parts = np.concatenate([getattr(c, field) for c in chunks])
         assert np.array_equal(getattr(whole, field), getattr(again, field))
-        assert np.array_equal(getattr(whole, field), getattr(parts, field))
+        assert np.array_equal(getattr(whole, field), parts)
 
 
 def test_per_pulse_op_matches_range_sampler(pump, flat_pm, herald_band, probe_band):
     rates = EmissionRates(0.3, 0.1, 0.1)
     batch = sample_pulse_range(50, 30, SEED, rates, pump, flat_pm,
                                herald_band, probe_band)
-    pairs = []
     for i in range(50, 80):
-        p, _, _ = sample_pulse_emissions(i, SEED, rates, pump, flat_pm,
-                                         herald_band, probe_band)
-        pairs.extend(p)
-    assert [p.herald_frequency_thz for p in pairs] == \
-        batch.pair_herald_thz.tolist()
-    assert [p.generation_time_ps for p in pairs] == batch.pair_time_ps.tolist()
+        one = sample_pulse_range(i, 1, SEED, rates, pump, flat_pm,
+                                 herald_band, probe_band)
+        for emitter in ("pair", "single_probe", "single_herald"):
+            in_pulse = getattr(batch, f"{emitter}_pulse") == i
+            for name in one.__dataclass_fields__:
+                if name.startswith(emitter + "_"):
+                    assert np.array_equal(getattr(one, name),
+                                          getattr(batch, name)[in_pulse])
 
 
 def test_rejection_2d_histogram_matches_jsi(pump, flat_pm, herald_band, probe_band):
