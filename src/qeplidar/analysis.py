@@ -49,14 +49,17 @@ class InsufficientDataError(AnalysisError):
 # ---------------------------------------------------------------------------
 # Pulse-frame folding
 
+_N_BUCKETS = 1024   # probe-window index buckets per frame; keys fit int16
+
 
 @dataclass(frozen=True)
 class FoldedEvents:
     """Herald/probe events referenced to their nearest pump pulse.
 
-    Event arrays are sorted by (pulse_index, relative time); relative times
-    live in [-T/2, T/2] around the reconstructed pulse instant.  The arrays
-    are read-only by contract: window queries reuse a view built once.
+    Arrays are sorted by (pulse_index, relative time), which pulse_pairs and
+    count_cc rely on; fold_to_pulse_frame sorts only when a sync divider > 1
+    leaves tags out of order.  Relative times lie in [-T/2, T/2] around the
+    pulse instant.  Arrays are read-only: window queries reuse one index.
     """
 
     herald_pulse: np.ndarray
@@ -70,18 +73,27 @@ class FoldedEvents:
     def half_period(self) -> float:
         return self.period_ps / 2.0
 
+    def _rel_bucket(self, rel) -> np.ndarray:
+        """Frame bucket of each relative time, non-decreasing in rel."""
+        width = self.period_ps / _N_BUCKETS
+        key = np.floor((np.asarray(rel) + self.half_period) / width)
+        return np.clip(key, 0, _N_BUCKETS - 1).astype(np.int16)
+
     @functools.cached_property
-    def _probe_by_rel(self):
-        """(relative time, pulse) of the probe events, sorted by relative
-        time; built on the first window query and reused by later ones."""
-        order = np.argsort(self.probe_rel, kind="stable")
-        return self.probe_rel[order], self.probe_pulse[order]
+    def _probe_by_bucket(self):
+        """Probe (rel, pulse) grouped by bucket, and the bucket starts."""
+        key = self._rel_bucket(self.probe_rel)
+        order = np.argsort(key, kind="stable")
+        starts = np.searchsorted(key, np.arange(_N_BUCKETS + 1), sorter=order)
+        return self.probe_rel[order], self.probe_pulse[order], starts
 
     def probe_pulses_in_window(self, lo: float, hi: float) -> np.ndarray:
-        """Sorted pulse indices of the probe events with rel in [lo, hi)."""
-        rel, pulse = self._probe_by_rel
-        i0, i1 = np.searchsorted(rel, (lo, hi), "left")
-        return np.sort(pulse[i0:i1], kind="stable")
+        """Sorted pulse indices of the probe events with rel in [lo, hi).  The
+        index pays off over many queries; for a few, mask as count_cc does."""
+        rel, pulse, starts = self._probe_by_bucket
+        i0, i1 = starts[self._rel_bucket((lo, hi)) + (0, 1)]
+        r, p = rel[i0:i1], pulse[i0:i1]
+        return np.sort(p[(r >= lo) & (r < hi)], kind="stable")
 
 
 def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
@@ -117,7 +129,9 @@ def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
         pulse = nearest * divider + k.astype(np.int64)
         keep = pulse >= 0
         pulse, rel = pulse[keep], rel[keep]
-        order = np.lexsort((rel, pulse))
+        dp = np.diff(pulse)
+        in_order = np.all((dp > 0) | ((dp == 0) & (rel[1:] >= rel[:-1])))
+        order = slice(None) if in_order else np.lexsort((rel, pulse))
         out[ch] = (pulse[order], rel[order])
 
     n_pulses = (refs.size - 1) * divider + 1
@@ -427,9 +441,10 @@ def count_sc(folded: FoldedEvents, window: CountWindow) -> int:
 
 def count_cc(folded: FoldedEvents, window: CountWindow) -> int:
     lo_h, hi_h = window.herald_interval
+    lo_p, hi_p = window.probe_interval
     sel = (folded.herald_rel >= lo_h) & (folded.herald_rel < hi_h)
-    return _count_shifted(folded.probe_pulses_in_window(*window.probe_interval),
-                          folded.herald_pulse[sel], 0)
+    in_window = (folded.probe_rel >= lo_p) & (folded.probe_rel < hi_p)
+    return _count_shifted(folded.probe_pulse[in_window], folded.herald_pulse[sel], 0)
 
 
 def _ratio(n_on: float, n_off: float) -> RatioResult:

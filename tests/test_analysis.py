@@ -99,6 +99,59 @@ def test_fold_with_sync_divider(pump):
     assert folded.herald_rel[0] == pytest.approx(40.0, abs=1.0)
 
 
+def test_fold_resorts_tags_out_of_order_within_a_pulse():
+    # divider 2: pulse 1 sits midway between the REFs at 990 and 3010 ps.
+    # The tag at 1999 ps folds from the first REF to rel +9, the one at
+    # 2001 ps from the second to rel -9, so the raw fold is out of order.
+    refs = np.array([990, 3010])
+    folded = fold_to_pulse_frame(_stream_from(refs, [1999, 2001], []),
+                                 period_ps=1000.0, divider=2)
+    assert folded.herald_pulse.tolist() == [1, 1]
+    assert folded.herald_rel.tolist() == [-9.0, 9.0]
+
+
+def _reference_fold(refs, tags, period, divider):
+    """Tag-by-tag nearest-REF fold, (pulse, rel)-sorted with np.lexsort;
+    also says whether the tags came out already in that order."""
+    refs = np.asarray(refs, dtype=np.float64)
+    pulse, rel = [], []
+    for t in np.asarray(tags, dtype=np.float64):
+        i = int(np.argmin(np.abs(refs - t)))  # a tie goes to the earlier REF
+        k = float(np.rint((t - refs[i]) / period)) if divider > 1 else 0.0
+        if i * divider + k >= 0:
+            pulse.append(i * divider + int(k))
+            rel.append(t - refs[i] - k * period)
+    pulse, rel = np.array(pulse, dtype=np.int64), np.array(rel)
+    order = np.lexsort((rel, pulse))
+    return pulse[order], rel[order], bool(np.all(order == np.arange(order.size)))
+
+
+@pytest.mark.parametrize("divider", [1, 2, 16])
+def test_fold_matches_lexsort_reference_with_jittered_refs(divider):
+    period = 1000.0
+    resorted = 0
+    for seed in range(5):
+        gen = np.random.default_rng(seed)
+        n_refs = 40
+        refs = np.sort(np.rint(1000.0 + np.arange(n_refs) * divider * period
+                               + gen.normal(0.0, 30.0, n_refs)).astype(np.int64))
+        # uniform tags (some before the first REF), plus tags crowding the
+        # midpoints between REFs where the nearest REF switches
+        mid = (refs[:-1] + refs[1:]) // 2
+        tags = np.concatenate([gen.integers(0, refs[-1] + 500, 300),
+                               np.repeat(mid, 4) + gen.integers(-40, 40, mid.size * 4)])
+        stream = _stream_from(refs, tags, tags[::3], refs[-1] + 1000)
+        folded = fold_to_pulse_frame(stream, period_ps=period, divider=divider)
+        for pulse, rel, t in ((folded.herald_pulse, folded.herald_rel, tags),
+                              (folded.probe_pulse, folded.probe_rel, tags[::3])):
+            ref_pulse, ref_rel, in_order = _reference_fold(refs, np.sort(t),
+                                                           period, divider)
+            np.testing.assert_array_equal(pulse, ref_pulse)
+            np.testing.assert_array_equal(rel, ref_rel)
+            resorted += not in_order
+    assert (resorted > 0) == (divider > 1)
+
+
 # ---------------------------------------------------------------------------
 # JTI and window bookkeeping
 
@@ -361,6 +414,50 @@ def test_coincidence_counts_match_brute_force(pump):
         rq = snr_quantum(on, off, windows)
         assert [r.n_on for r in rq] == expected_on
         assert [r.n_off for r in rq] == expected_off
+
+
+def _probe_only(rel, period_ps):
+    """Folded probe events at the given relative times, on random pulses."""
+    pulse = np.random.default_rng(3).integers(0, 60, rel.size)
+    order = np.lexsort((rel, pulse))
+    return FoldedEvents(np.empty(0, dtype=np.int64), np.empty(0),
+                        pulse[order], rel[order], 60, period_ps)
+
+
+# 8192 ps puts the 1024 bucket edges on whole picoseconds; 1e7 ps is the
+# 10 us frame of a 0.1 MHz pump
+@pytest.mark.parametrize("period_ps", [8192.0, 51894.79, 1e7])
+def test_probe_window_index_matches_brute_force(period_ps):
+    gen = np.random.default_rng(11)
+    half, width = period_ps / 2, period_ps / 1024
+    on_edges = -half + gen.integers(0, 1025, 400) * width
+    hairs = [np.nextafter(-half, -np.inf), np.nextafter(half, np.inf), -half, half]
+    rel = np.concatenate([gen.uniform(-half, half, 3000), on_edges, hairs])
+    folded = _probe_only(rel, period_ps)
+    j = gen.integers(0, 1024, 30)
+    windows = ([(-half + a * width, -half + (a + m) * width)
+                for a, m in zip(j, gen.integers(0, 5, 30))]
+               + [(c - 50.0, c + 50.0) for c in gen.uniform(-half, half, 30)]
+               + [(-half, half), (-half, -half + width), (half - width, half),
+                  (-half - 500.0, -half + 300.0), (half - 300.0, half + 500.0),
+                  (-period_ps, -half), (half, period_ps), (period_ps, 2 * period_ps),
+                  (-2 * period_ps, -period_ps), (100.0, 100.0), (100.0, -100.0)])
+    found = []
+    for lo, hi in windows:
+        expected = np.sort(folded.probe_pulse[(folded.probe_rel >= lo)
+                                              & (folded.probe_rel < hi)])
+        np.testing.assert_array_equal(folded.probe_pulses_in_window(lo, hi),
+                                      expected)
+        found.append(expected.size)
+    # the hairs outside the frame and the events on +T/2 are found too
+    assert found[windows.index((-period_ps, -half))] == 1
+    assert found[windows.index((half, period_ps))] >= 2
+
+
+def test_probe_window_index_on_empty_stream(pump):
+    folded = _probe_only(np.empty(0), pump.period_ps)
+    assert folded.probe_pulses_in_window(-100.0, 100.0).size == 0
+    assert folded.probe_pulses_in_window(-pump.period_ps, pump.period_ps).size == 0
 
 
 def test_snr_undefined_when_off_empty(pump):
