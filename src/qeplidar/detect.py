@@ -1,7 +1,9 @@
 """Detector response and the on-disk time-tag stream format.
 
 Detection = efficiency thinning + Gaussian timing jitter + uniform dark
-counts + optional dead-time filtering, producing integer-ps tags.
+counts, producing integer-ps tags.  Dead time is non-paralyzable and acts
+once on each merged channel, in one pass over its sorted tags
+(`apply_dead_time`).
 
 Wire format (little-endian, byte offsets in parentheses):
   magic  "QTT1"                      (0,  4 bytes)
@@ -11,12 +13,14 @@ Wire format (little-endian, byte offsets in parentheses):
   scenario fingerprint               (22, 32 bytes)
   records: channel u8 + timestamp i64, timestamp-sorted (54 + 9*i)
 Channels: 0 = REF, 1 = HERALD, 2 = PROBE.  A CSV mirror with header
-"channel,timestamp_ps" is available for plotting tools.
+"channel,timestamp_ps" is written for plotting tools.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +68,6 @@ class DetectorSpec:
 
 
 @dataclass
-class DetectionStats:
-    """Side counters from detect_channel (clipped-to-zero tags etc.)."""
-
-    clipped_to_zero: int = 0
-    dropped_dead_time: int = 0
-
-
-@dataclass
 class TagStream:
     """Time-sorted detection events of one measurement configuration."""
 
@@ -101,33 +97,34 @@ class TagStream:
 
 
 def apply_dead_time(timestamps: np.ndarray, dead_time_ps: float) -> np.ndarray:
-    """Greedy dead-time filter: drop tags within dead_time of the last kept tag.
+    """Non-paralyzable dead time over sorted int64 tags.
 
-    Iterative vectorized passes; each pass removes tags that trail a
-    provisionally kept tag too closely, converging because survivors only
-    ever get sparser.
+    The first tag is kept; a later tag is kept iff it comes more than
+    dead_time_ps after the last kept tag, so a gap of exactly dead_time_ps
+    is dropped.  One pass, linear in the tag count however long a burst is.
+    dead_time_ps <= 0 is the off switch and returns the input unchanged.
     """
     if dead_time_ps <= 0 or timestamps.size == 0:
         return timestamps
-    kept = timestamps
-    while True:
-        gaps = np.diff(kept)
-        bad = np.flatnonzero(gaps <= dead_time_ps) + 1
-        if bad.size == 0:
-            return kept
-        # keep the first tag of each too-close run, drop the immediate follower
-        drop = bad[np.concatenate(([True], np.diff(bad) > 1))]
-        kept = np.delete(kept, drop)
+    kept = array("q")
+    keep = kept.append
+    last = -math.inf
+    for t in memoryview(timestamps):
+        if t - last > dead_time_ps:
+            keep(t)
+            last = t
+    return np.frombuffer(kept, dtype=np.int64)
 
 
 def detect_channel(true_arrivals_ps, spec: DetectorSpec, duration_ps: float,
-                   generator: np.random.Generator,
-                   stats: DetectionStats | None = None) -> np.ndarray:
+                   generator: np.random.Generator) -> np.ndarray:
     """Turn true arrival times into detector tags (sorted int64 ps).
 
     Thinning, jitter, and dark-count draws all come from `generator`, so a
     component detected once can be reused verbatim across measurement
-    configurations (common random numbers).
+    configurations (common random numbers).  Negative tags are clipped to
+    0.  spec.dead_time_ps is not applied here: dead time acts on the merged
+    channel (`apply_dead_time`).
     """
     arrivals = np.asarray(true_arrivals_ps, dtype=np.float64)
     if spec.quantum_efficiency < 1.0 and arrivals.size:
@@ -140,17 +137,8 @@ def detect_channel(true_arrivals_ps, spec: DetectorSpec, duration_ps: float,
         arrivals = arrivals + generator.normal(
             0.0, fwhm_to_sigma(spec.jitter_fwhm_ps), arrivals.size)
     tags = np.rint(arrivals).astype(np.int64)
-    negative = tags < 0
-    if np.any(negative):
-        if stats is not None:
-            stats.clipped_to_zero += int(negative.sum())
-        tags[negative] = 0
+    tags[tags < 0] = 0
     tags.sort(kind="stable")
-    if spec.dead_time_ps > 0:
-        before = tags.size
-        tags = apply_dead_time(tags, spec.dead_time_ps)
-        if stats is not None:
-            stats.dropped_dead_time += before - tags.size
     return tags
 
 
@@ -230,8 +218,3 @@ def write_tags_csv(stream: TagStream, path) -> None:
         for ch, ts in zip(stream.channels, stream.timestamps):
             fh.write(f"{ch},{ts}\n")
 
-
-def read_tags_csv(path, duration_ps: int = 0) -> TagStream:
-    data = np.genfromtxt(path, delimiter=",", skip_header=1, dtype=np.int64)
-    data = data.reshape(-1, 2)
-    return TagStream(data[:, 0].astype(np.uint8), data[:, 1], duration_ps)

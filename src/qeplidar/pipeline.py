@@ -79,7 +79,7 @@ def _simulate_block(config: ScenarioConfig, start: int, count: int):
 
 def _merged_channel(parts: list, spec: DetectorSpec) -> np.ndarray:
     """Time-sorted union of separately detected components, dead-timed once."""
-    tags = np.sort(np.concatenate(parts))
+    tags = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
     if spec.dead_time_ps > 0:
         tags = apply_dead_time(tags, spec.dead_time_ps)
     return tags
@@ -113,16 +113,18 @@ def simulate(config: ScenarioConfig, *, threads: int = 1,
                               rng.component_generator(config.seed, component))
 
     # Photons are thinned and jittered without darks; darks are jittered
-    # without thinning.  Dead time acts on the merged channel only.
-    photons_h = replace(det["herald"], dark_rate_per_s=0.0, dead_time_ps=0.0)
-    photons_p = replace(det["probe"], dark_rate_per_s=0.0, dead_time_ps=0.0)
-    darks_h = replace(det["herald"], quantum_efficiency=1.0, dead_time_ps=0.0)
-    darks_p = replace(det["probe"], quantum_efficiency=1.0, dead_time_ps=0.0)
+    # without thinning.  Dead time acts once on each merged channel, REF
+    # included.
+    photons_h = replace(det["herald"], dark_rate_per_s=0.0)
+    photons_p = replace(det["probe"], dark_rate_per_s=0.0)
+    darks_h = replace(det["herald"], quantum_efficiency=1.0)
+    darks_p = replace(det["probe"], quantum_efficiency=1.0)
 
     ref_idx = np.arange(0, n_pulses, config.ref_divider, dtype=np.int64)
     ref_true = pulse_time(ref_idx, config.pump).astype(np.float64) \
         if ref_idx.size else np.empty(0)
-    ref_tags = detect(ref_true, det["ref"], rng.COMP_JITTER_REF)
+    ref_tags = _merged_channel(
+        [detect(ref_true, det["ref"], rng.COMP_JITTER_REF)], det["ref"])
     herald_all = _merged_channel(
         [detect(herald_true, photons_h, rng.COMP_JITTER_HERALD),
          detect(np.empty(0), darks_h, rng.COMP_DARK_HERALD)], det["herald"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from qeplidar.detect import (
     CH_HERALD,
     CH_PROBE,
     CH_REF,
-    DetectionStats,
     DetectorSpec,
     TagFormatError,
     TagStream,
@@ -18,7 +18,6 @@ from qeplidar.detect import (
     detect_channel,
     merge_streams,
     read_tags,
-    read_tags_csv,
     write_tags,
     write_tags_csv,
 )
@@ -70,12 +69,12 @@ def test_dark_count_statistics():
     assert abs(tags.size - 10_000) <= 300
 
 
-def test_negative_tags_clipped_and_counted():
-    stats = DetectionStats()
+def test_negative_tags_clipped_to_zero():
     spec = DetectorSpec(jitter_fwhm_ps=200.0)
-    tags = detect_channel(np.zeros(10_000), spec, 1000.0, _gen(), stats)
-    assert stats.clipped_to_zero > 0
+    tags = detect_channel(np.zeros(10_000), spec, 1000.0, _gen())
     assert tags.min() == 0
+    # about half the jittered tags fall below 0 and are clipped, not dropped
+    assert np.count_nonzero(tags == 0) > tags.size // 3
 
 
 def test_output_sorted():
@@ -125,11 +124,36 @@ def test_dead_time_matches_reference(times, dead):
     assert kept.tolist() == ref
 
 
-def test_dead_time_drops_close_tags():
-    spec = DetectorSpec(dead_time_ps=50.0)
-    tags = detect_channel(np.array([0.0, 20.0, 60.0, 200.0]), spec, 1000.0,
-                          _gen())
-    assert tags.tolist() == [0, 60, 200]
+# Sorted tags built from gaps: 0 gives duplicates, and an integer dead time
+# often equals a gap exactly.  The offset keeps differences exact at large
+# absolute times.
+@given(st.integers(0, 10 ** 14),
+       st.lists(st.integers(0, 60), min_size=0, max_size=300),
+       st.one_of(st.integers(-5, 60).map(float),
+                 st.floats(-5.0, 60.0, allow_nan=False)))
+@settings(max_examples=300)
+def test_dead_time_properties(offset, gaps, dead):
+    ts = offset + np.cumsum(np.asarray(gaps, dtype=np.int64))
+    kept = apply_dead_time(ts, dead)
+    if dead <= 0 or ts.size == 0:
+        assert np.array_equal(kept, ts)
+        return
+    assert kept.dtype == np.int64
+    assert kept[0] == ts[0]
+    assert not Counter(kept.tolist()) - Counter(ts.tolist())
+    assert np.all(np.diff(kept) > dead)
+    dropped = Counter(ts.tolist()) - Counter(kept.tolist())
+    for t in dropped:
+        last_kept = kept[np.searchsorted(kept, t, side="right") - 1]
+        assert t - last_kept <= dead
+
+
+def test_dead_time_single_burst():
+    # tags every tau/2: the follower at exactly tau is dropped, so every
+    # third tag is kept
+    tau = 100
+    ts = np.arange(200_000, dtype=np.int64) * (tau // 2)
+    assert np.array_equal(apply_dead_time(ts, float(tau)), ts[::3])
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +286,10 @@ def test_csv_mirror(tmp_path):
     write_tags_csv(stream, path)
     header = path.read_text().splitlines()[0]
     assert header == "channel,timestamp_ps"
-    back = read_tags_csv(path)
-    assert np.array_equal(back.timestamps, stream.timestamps)
-    assert np.array_equal(back.channels, stream.channels)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64,
+                      ndmin=2)
+    assert np.array_equal(back[:, 1], stream.timestamps)
+    assert np.array_equal(back[:, 0], stream.channels)
 
 
 def test_stream_invariants():

@@ -97,6 +97,27 @@ def test_dead_time_filters_each_merged_channel_once():
     assert all(dropped.values())
 
 
+def test_ref_dead_time_applied():
+    # REF tags 51.9 ns apart under a 60 ns dead time: every other one stays
+    tau = 60_000.0
+    scenario = dict(duration_s=0.002)
+    plain = simulate(loopback_scenario(**scenario))
+    detectors = {
+        "ref": {"jitter_fwhm_ps": 18.8, "dead_time_ps": tau},
+        "herald": {"jitter_fwhm_ps": 89.9},
+        "probe": {"jitter_fwhm_ps": 66.43},
+    }
+    timed = simulate(loopback_scenario(**scenario, detectors=detectors))
+    for label in plain:
+        before = plain[label].channel_times(CH_REF)
+        kept = timed[label].channel_times(CH_REF)
+        assert np.array_equal(kept, apply_dead_time(before, tau))
+        assert kept.size == pytest.approx(before.size / 2, abs=1)
+        for ch in (CH_HERALD, CH_PROBE):
+            assert np.array_equal(timed[label].channel_times(ch),
+                                  plain[label].channel_times(ch))
+
+
 def test_seed_changes_stream():
     a = simulate(loopback_scenario(duration_s=0.005, seed=1))[ON]
     b = simulate(loopback_scenario(duration_s=0.005, seed=2))[ON]
