@@ -13,7 +13,6 @@ windows are half-open [lo, hi).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,17 +48,15 @@ class InsufficientDataError(AnalysisError):
 # ---------------------------------------------------------------------------
 # Pulse-frame folding
 
-_N_BUCKETS = 1024   # probe-window index buckets per frame; keys fit int16
-
 
 @dataclass(frozen=True)
 class FoldedEvents:
     """Herald/probe events referenced to their nearest pump pulse.
 
-    Arrays are sorted by (pulse_index, relative time), which pulse_pairs and
-    count_cc rely on; fold_to_pulse_frame sorts only when a sync divider > 1
-    leaves tags out of order.  Relative times lie in [-T/2, T/2] around the
-    pulse instant.  Arrays are read-only: window queries reuse one index.
+    Each channel's arrays are sorted by (pulse_index, relative time), so
+    every "which pulse" question is one np.searchsorted on the pulse array;
+    fold_to_pulse_frame sorts only when a sync divider > 1 leaves tags out
+    of order.  Relative times lie in [-T/2, T/2] around the pulse instant.
     """
 
     herald_pulse: np.ndarray
@@ -73,28 +70,6 @@ class FoldedEvents:
     def half_period(self) -> float:
         return self.period_ps / 2.0
 
-    def _rel_bucket(self, rel) -> np.ndarray:
-        """Frame bucket of each relative time, non-decreasing in rel."""
-        width = self.period_ps / _N_BUCKETS
-        key = np.floor((np.asarray(rel) + self.half_period) / width)
-        return np.clip(key, 0, _N_BUCKETS - 1).astype(np.int16)
-
-    @functools.cached_property
-    def _probe_by_bucket(self):
-        """Probe (rel, pulse) grouped by bucket, and the bucket starts."""
-        key = self._rel_bucket(self.probe_rel)
-        order = np.argsort(key, kind="stable")
-        starts = np.searchsorted(key, np.arange(_N_BUCKETS + 1), sorter=order)
-        return self.probe_rel[order], self.probe_pulse[order], starts
-
-    def probe_pulses_in_window(self, lo: float, hi: float) -> np.ndarray:
-        """Sorted pulse indices of the probe events with rel in [lo, hi).  The
-        index pays off over many queries; for a few, mask as count_cc does."""
-        rel, pulse, starts = self._probe_by_bucket
-        i0, i1 = starts[self._rel_bucket((lo, hi)) + (0, 1)]
-        r, p = rel[i0:i1], pulse[i0:i1]
-        return np.sort(p[(r >= lo) & (r < hi)], kind="stable")
-
 
 def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
                         divider: int = 1) -> FoldedEvents:
@@ -102,7 +77,9 @@ def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
 
     With a sync divider > 1 only every divider-th pulse carries a REF tag;
     intermediate pulse instants are interpolated from the nearest recorded
-    REF using the exact pump period.
+    REF using the exact pump period.  The nearest REF is found by one search
+    over the midpoints between neighbouring REFs; a tag exactly midway goes
+    to the earlier REF.
     """
     refs = stream.channel_times(CH_REF)
     if refs.size == 0:
@@ -115,14 +92,12 @@ def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
         else:
             raise AnalysisError("pump period required to fold this stream")
 
+    # integer ps below 2**53: every midpoint is an exact half in float64
+    midpoints = (refs[:-1] + refs[1:]) / 2.0
     out = {}
     for ch in (CH_HERALD, CH_PROBE):
         t = stream.channel_times(ch).astype(np.float64)
-        right = np.searchsorted(refs, t)
-        left = np.clip(right - 1, 0, refs.size - 1)
-        right = np.clip(right, 0, refs.size - 1)
-        use_right = np.abs(refs[right] - t) < np.abs(t - refs[left])
-        nearest = np.where(use_right, right, left)
+        nearest = np.searchsorted(midpoints, t)
         anchor = refs[nearest].astype(np.float64)
         k = np.rint((t - anchor) / period_ps) if divider > 1 else np.zeros_like(t)
         rel = t - anchor - k * period_ps
@@ -184,20 +159,34 @@ def _bin_index(rel, edges):
     return np.clip(idx, 0, edges.size - 2)
 
 
-def pulse_pairs(folded: FoldedEvents, shift: int = 0):
-    """Index pairs (into herald arrays, probe arrays) of herald x probe
-    combinations with probe_pulse == herald_pulse + shift."""
-    if folded.herald_pulse.size == 0 or folded.probe_pulse.size == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    start = np.searchsorted(folded.probe_pulse, folded.herald_pulse + shift, "left")
-    stop = np.searchsorted(folded.probe_pulse, folded.herald_pulse + shift, "right")
-    counts = stop - start
-    herald_idx = np.repeat(np.arange(folded.herald_pulse.size), counts)
+def _pair_index(keys, probe_pulse):
+    """Index pairs (into keys, into the sorted probe_pulse) of every probe
+    event whose pulse equals the key."""
+    start = np.searchsorted(probe_pulse, keys, "left")
+    counts = np.searchsorted(probe_pulse, keys, "right") - start
+    key_idx = np.repeat(np.arange(keys.size), counts)
     probe_idx = np.repeat(start, counts) + (
         np.arange(counts.sum(), dtype=np.int64)
         - np.repeat(np.cumsum(counts) - counts, counts))
-    return herald_idx, probe_idx
+    return key_idx, probe_idx
+
+
+def pulse_pairs(folded: FoldedEvents, shift: int = 0):
+    """Index pairs (into herald arrays, probe arrays) of herald x probe
+    combinations with probe_pulse == herald_pulse + shift."""
+    return _pair_index(folded.herald_pulse + shift, folded.probe_pulse)
+
+
+def window_counts(folded: FoldedEvents, herald_pulse, lo: float, hi: float,
+                  shifts) -> np.ndarray:
+    """Per shift, the herald x probe combinations with probe_pulse ==
+    herald_pulse + shift and probe rel in [lo, hi)."""
+    shifts = np.asarray(shifts, dtype=np.int64)
+    keys = (shifts[:, None] + herald_pulse[None, :]).ravel()
+    key_idx, probe_idx = _pair_index(keys, folded.probe_pulse)
+    rel = folded.probe_rel[probe_idx]
+    in_window = key_idx[(rel >= lo) & (rel < hi)]   # empty when no heralds
+    return np.bincount(in_window // herald_pulse.size, minlength=shifts.size)
 
 
 def build_jti(folded: FoldedEvents, bin_width_ps: float = 100.0) -> Histogram2D:
@@ -303,13 +292,6 @@ class RidgeBin:
     car_is_lower_bound: bool
 
 
-def _count_shifted(window_pulses: np.ndarray, herald_sel_pulses, shift) -> int:
-    """Combos of heralds with window probes at probe_pulse = herald + shift."""
-    start = np.searchsorted(window_pulses, herald_sel_pulses + shift, "left")
-    stop = np.searchsorted(window_pulses, herald_sel_pulses + shift, "right")
-    return int((stop - start).sum())
-
-
 def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
                        window_ps: float = 100.0, n_acc_windows: int = 10,
                        min_cc: int = 10) -> list:
@@ -346,13 +328,10 @@ def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
             peak = float(centers[np.argmax(hist)])
         herald_lo, herald_hi = edges[b], edges[b + 1]
         h_in_bin = (folded.herald_rel >= herald_lo) & (folded.herald_rel < herald_hi)
-        h_pulses = folded.herald_pulse[h_in_bin]
-        window_pulses = folded.probe_pulses_in_window(peak - half_w,
-                                                      peak + half_w)
-        n_cc = _count_shifted(window_pulses, h_pulses, 0)
-        acc_counts = [_count_shifted(window_pulses, h_pulses, k)
-                      for k in shifts]
-        n_acc = float(np.mean(acc_counts))
+        counts = window_counts(folded, folded.herald_pulse[h_in_bin],
+                               peak - half_w, peak + half_w, [0] + shifts)
+        n_cc = int(counts[0])
+        n_acc = float(np.mean(counts[1:]))
         if n_acc > 0:
             car = n_cc / n_acc
             lower_bound = False
@@ -443,8 +422,7 @@ def count_cc(folded: FoldedEvents, window: CountWindow) -> int:
     lo_h, hi_h = window.herald_interval
     lo_p, hi_p = window.probe_interval
     sel = (folded.herald_rel >= lo_h) & (folded.herald_rel < hi_h)
-    in_window = (folded.probe_rel >= lo_p) & (folded.probe_rel < hi_p)
-    return _count_shifted(folded.probe_pulse[in_window], folded.herald_pulse[sel], 0)
+    return int(window_counts(folded, folded.herald_pulse[sel], lo_p, hi_p, [0])[0])
 
 
 def _ratio(n_on: float, n_off: float) -> RatioResult:

@@ -35,7 +35,6 @@ SINGLE_HERALD_SURVIVAL = 9
 
 # Component keys for bulk Philox-backed streams.
 COMP_NOISE = 100
-COMP_DARK_REF = 101
 COMP_DARK_HERALD = 102
 COMP_DARK_PROBE = 103
 COMP_JITTER_REF = 110

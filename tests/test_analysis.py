@@ -26,7 +26,6 @@ from qeplidar.analysis import (
     herald_time_density,
     noise_intensity_db,
     probe_window_histogram,
-    pulse_pairs,
     randomness_report,
     reconstruct_targets,
     snr_classical,
@@ -129,17 +128,21 @@ def _reference_fold(refs, tags, period, divider):
 @pytest.mark.parametrize("divider", [1, 2, 16])
 def test_fold_matches_lexsort_reference_with_jittered_refs(divider):
     period = 1000.0
-    resorted = 0
+    resorted = ties = 0
     for seed in range(5):
         gen = np.random.default_rng(seed)
         n_refs = 40
         refs = np.sort(np.rint(1000.0 + np.arange(n_refs) * divider * period
                                + gen.normal(0.0, 30.0, n_refs)).astype(np.int64))
-        # uniform tags (some before the first REF), plus tags crowding the
-        # midpoints between REFs where the nearest REF switches
+        # uniform tags (some before the first REF), tags crowding the
+        # midpoints between REFs where the nearest REF switches, and the
+        # midpoints themselves: where refs[i] + refs[i + 1] is even the
+        # midpoint is a tag that ties (odd sums leave no tag to tie)
         mid = (refs[:-1] + refs[1:]) // 2
+        ties += np.count_nonzero((refs[:-1] + refs[1:]) % 2 == 0)
         tags = np.concatenate([gen.integers(0, refs[-1] + 500, 300),
-                               np.repeat(mid, 4) + gen.integers(-40, 40, mid.size * 4)])
+                               np.repeat(mid, 4) + gen.integers(-40, 40, mid.size * 4),
+                               mid])
         stream = _stream_from(refs, tags, tags[::3], refs[-1] + 1000)
         folded = fold_to_pulse_frame(stream, period_ps=period, divider=divider)
         for pulse, rel, t in ((folded.herald_pulse, folded.herald_rel, tags),
@@ -150,6 +153,7 @@ def test_fold_matches_lexsort_reference_with_jittered_refs(divider):
             np.testing.assert_array_equal(rel, ref_rel)
             resorted += not in_order
     assert (resorted > 0) == (divider > 1)
+    assert ties > 0
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +329,56 @@ def test_car_zero_accidentals_sentinel(pump):
     assert ridge[0].car == ridge[0].n_cc * 10
 
 
+def test_car_counts_match_brute_force():
+    gen = np.random.default_rng(8)
+    period, half = 8000.0, 4000.0       # herald bin edges on whole 100 ps
+
+    def on_grid(rel):
+        # half of the times sit on the 50 ps grid
+        return np.where(gen.random(rel.size) < 0.5, np.round(rel / 50.0) * 50.0, rel)
+
+    # heralds over three bins, probes on pulses h-5 ... h+5 of a random herald
+    # (h itself half the time) along the ridge, plus probe noise
+    h_pulse = gen.integers(5, 200, 600)
+    h_rel = on_grid(gen.uniform(-1000.0, -700.0, h_pulse.size))
+    j = gen.integers(0, h_pulse.size, 1500)
+    shift = np.where(gen.random(j.size) < 0.5, 0, gen.integers(-5, 6, j.size))
+    p_pulse = np.concatenate([h_pulse[j] + shift, gen.integers(0, 205, 800)])
+    p_rel = on_grid(np.concatenate([-h_rel[j] + gen.normal(0.0, 40.0, j.size),
+                                    gen.uniform(-half, half, 800)]))
+    # one more bin whose heralds sit 20 pulses apart with same-pulse probes
+    # only: no accidentals, so its CAR is the lower-bound sentinel
+    lone = np.arange(1000, 1300, 20)
+    h_pulse = np.concatenate([h_pulse, lone])
+    h_rel = np.concatenate([h_rel, gen.uniform(1500.0, 1600.0, lone.size)])
+    p_pulse = np.concatenate([p_pulse, lone])
+    p_rel = np.concatenate([p_rel, gen.normal(-1550.0, 20.0, lone.size)])
+    hs, ps = np.lexsort((h_rel, h_pulse)), np.lexsort((p_rel, p_pulse))
+    folded = FoldedEvents(h_pulse[hs], h_rel[hs], p_pulse[ps], p_rel[ps], 1400,
+                          period)
+
+    ridge = car_per_herald_bin(folded)
+    diff = folded.probe_pulse[None, :] - folded.herald_pulse[:, None]
+    h_bin = np.floor((folded.herald_rel + half) / 100.0).astype(np.int64)
+    same = np.bincount(h_bin, weights=np.count_nonzero(diff == 0, axis=1))
+    assert [rb.herald_bin for rb in ridge] == list(np.flatnonzero(same >= 10))
+    shifts = [k for k in range(-5, 6) if k != 0]
+    for rb in ridge:
+        lo = -half + 100.0 * rb.herald_bin
+        assert rb.herald_center_ps == lo + 50.0
+        h = (folded.herald_rel >= lo) & (folded.herald_rel < lo + 100.0)
+        p = ((folded.probe_rel >= rb.probe_peak_ps - 50.0)
+             & (folded.probe_rel < rb.probe_peak_ps + 50.0))
+        d = diff[h][:, p]
+        n_cc = int(np.count_nonzero(d == 0))
+        n_acc = float(np.mean([np.count_nonzero(d == k) for k in shifts]))
+        assert (rb.n_cc, rb.n_acc) == (n_cc, n_acc)
+        assert rb.car_is_lower_bound == (n_acc == 0)
+        assert rb.car == (n_cc / n_acc if n_acc > 0 else n_cc * 10.0)
+    assert len(ridge) >= 4
+    assert [rb.car_is_lower_bound for rb in ridge].count(True) == 1
+
+
 def test_car_trend_with_quadratic_phase_match():
     # phase matching deteriorating away from the pump lowers the pair rate
     # there and raises the CAR (herald bins further from the pump = earlier)
@@ -378,86 +432,62 @@ def test_snr_trivial_ratios(pump):
 
 def _brute_force_cc(folded, window):
     """Same-pulse combos inside the half-open window, from every pair."""
-    ih, ip = pulse_pairs(folded)
-    h, p = folded.herald_rel[ih], folded.probe_rel[ip]
     (lo_h, hi_h), (lo_p, hi_p) = window.herald_interval, window.probe_interval
-    return int(np.count_nonzero((h >= lo_h) & (h < hi_h)
-                                & (p >= lo_p) & (p < hi_p)))
+    h = (folded.herald_rel >= lo_h) & (folded.herald_rel < hi_h)
+    p = (folded.probe_rel >= lo_p) & (folded.probe_rel < hi_p)
+    return int(np.count_nonzero(folded.herald_pulse[h][:, None]
+                                == folded.probe_pulse[p][None, :]))
 
 
 def test_coincidence_counts_match_brute_force(pump):
     gen = np.random.default_rng(5)
     grid = np.arange(-2000.0, 2001.0, 50.0)
+    period, half = pump.period_ps, pump.period_ps / 2
+    frame = [-half, half, np.nextafter(-half, -np.inf), np.nextafter(half, np.inf)]
 
-    def events(n):
-        # half the times sit on the 50 ps grid, where the window edges lie
-        pulse = gen.integers(0, 150, n)
+    def events(n, n_edge):
+        # half the times sit on the 50 ps grid, where the window edges lie;
+        # n_edge more sit on +-T/2 or a hair outside the frame
+        pulse = gen.integers(0, 150, n + n_edge)
         rel = np.where(gen.random(n) < 0.5, gen.choice(grid, n),
                        gen.uniform(-2000.0, 2000.0, n))
+        rel = np.concatenate([rel, gen.choice(frame, n_edge)])
         order = np.lexsort((rel, pulse))
         return pulse[order], rel[order]
 
     def random_folded(n_herald, n_probe):
-        return FoldedEvents(*events(n_herald), *events(n_probe), 150,
-                            pump.period_ps)
+        return FoldedEvents(*events(n_herald, 300), *events(n_probe, 300), 150,
+                            period)
 
     on, off = random_folded(900, 1500), random_folded(700, 1100)
+    no_probe = FoldedEvents(*events(900, 300), np.empty(0, dtype=np.int64),
+                            np.empty(0), 150, period)
+    # CountWindow(probe center, herald center, width); with width T the
+    # edges land exactly on 0, +-T/2 and +-T
     windows = [CountWindow(float(gen.choice(grid)), float(gen.choice(grid)),
-                           100.0) for _ in range(8)]
-    edges = [e for w in windows for e in w.probe_interval]
+                           100.0) for _ in range(8)] + [
+        CountWindow(0.0, 0.0, period),           # the frame [-T/2, T/2)
+        CountWindow(half, -half, period),        # [0, T) x [-T, 0)
+        CountWindow(-half, half, period),        # [-T, 0) x [0, T)
+        CountWindow(half, -half, 1000.0),        # partly outside the frame
+        CountWindow(period, -period, period),    # [T/2, 3T/2) x [-3T/2, -T/2)
+        CountWindow(2 * period, 0.0, 100.0),     # wholly outside the frame
+        CountWindow(0.0, 2 * period, 100.0),     # selects no heralds
+    ]
+    edges = [e for w in windows[:8] for e in w.probe_interval]
     assert np.isin(on.probe_rel, edges).any()
     expected_on = [_brute_force_cc(on, w) for w in windows]
     expected_off = [_brute_force_cc(off, w) for w in windows]
-    assert sum(expected_on) > 0 and sum(expected_off) > 0
-    for _ in range(2):  # the second pass reuses each stream's probe view
-        assert [count_cc(on, w) for w in windows] == expected_on
-        rq = snr_quantum(on, off, windows)
-        assert [r.n_on for r in rq] == expected_on
-        assert [r.n_off for r in rq] == expected_off
-
-
-def _probe_only(rel, period_ps):
-    """Folded probe events at the given relative times, on random pulses."""
-    pulse = np.random.default_rng(3).integers(0, 60, rel.size)
-    order = np.lexsort((rel, pulse))
-    return FoldedEvents(np.empty(0, dtype=np.int64), np.empty(0),
-                        pulse[order], rel[order], 60, period_ps)
-
-
-# 8192 ps puts the 1024 bucket edges on whole picoseconds; 1e7 ps is the
-# 10 us frame of a 0.1 MHz pump
-@pytest.mark.parametrize("period_ps", [8192.0, 51894.79, 1e7])
-def test_probe_window_index_matches_brute_force(period_ps):
-    gen = np.random.default_rng(11)
-    half, width = period_ps / 2, period_ps / 1024
-    on_edges = -half + gen.integers(0, 1025, 400) * width
-    hairs = [np.nextafter(-half, -np.inf), np.nextafter(half, np.inf), -half, half]
-    rel = np.concatenate([gen.uniform(-half, half, 3000), on_edges, hairs])
-    folded = _probe_only(rel, period_ps)
-    j = gen.integers(0, 1024, 30)
-    windows = ([(-half + a * width, -half + (a + m) * width)
-                for a, m in zip(j, gen.integers(0, 5, 30))]
-               + [(c - 50.0, c + 50.0) for c in gen.uniform(-half, half, 30)]
-               + [(-half, half), (-half, -half + width), (half - width, half),
-                  (-half - 500.0, -half + 300.0), (half - 300.0, half + 500.0),
-                  (-period_ps, -half), (half, period_ps), (period_ps, 2 * period_ps),
-                  (-2 * period_ps, -period_ps), (100.0, 100.0), (100.0, -100.0)])
-    found = []
-    for lo, hi in windows:
-        expected = np.sort(folded.probe_pulse[(folded.probe_rel >= lo)
-                                              & (folded.probe_rel < hi)])
-        np.testing.assert_array_equal(folded.probe_pulses_in_window(lo, hi),
-                                      expected)
-        found.append(expected.size)
-    # the hairs outside the frame and the events on +T/2 are found too
-    assert found[windows.index((-period_ps, -half))] == 1
-    assert found[windows.index((half, period_ps))] >= 2
-
-
-def test_probe_window_index_on_empty_stream(pump):
-    folded = _probe_only(np.empty(0), pump.period_ps)
-    assert folded.probe_pulses_in_window(-100.0, 100.0).size == 0
-    assert folded.probe_pulses_in_window(-pump.period_ps, pump.period_ps).size == 0
+    assert sum(expected_on[:8]) > 0 and sum(expected_off[:8]) > 0
+    # the events on +-T/2 and the hairs outside the frame are counted too
+    assert all(n > 0 for n in expected_on[8:13])
+    assert expected_on[13:] == [0, 0]
+    assert [count_cc(on, w) for w in windows] == expected_on
+    rq = snr_quantum(on, off, windows)
+    assert [r.n_on for r in rq] == expected_on
+    assert [r.n_off for r in rq] == expected_off
+    assert [count_cc(no_probe, w) for w in windows] == [0] * len(windows)
+    assert [r.n_off for r in snr_quantum(on, no_probe, windows)] == [0] * len(windows)
 
 
 def test_snr_undefined_when_off_empty(pump):
