@@ -56,7 +56,7 @@ def main():
                                      divider=config.ref_divider)
         ridge = car_per_herald_bin(folded)
         total_cc = sum(rb.n_cc for rb in ridge)
-        print(f"rate {rate:.4f}/pulse x {duration:.0f} s: {total_cc} "
+        print(f"rate {rate:.4f}/pulse x {duration:g} s: {total_cc} "
               f"ridge coincidences over {len(ridge)} bins")
         for rb in ridge:
             rows.append((rate, duration, rb.herald_center_ps, rb.n_cc,

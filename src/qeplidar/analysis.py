@@ -138,13 +138,11 @@ class Histogram2D:
     def y_centers(self):
         return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
 
-    def to_csv(self, path, nonzero_only: bool = True):
-        """Rows of (x_bin, y_bin, count); zeros skipped unless asked for."""
+    def to_csv(self, path):
+        """Rows of (x_bin, y_bin, count) for the nonzero bins."""
         with open(path, "w") as fh:
             fh.write("x_bin,y_bin,count\n")
-            xs, ys = np.nonzero(self.counts) if nonzero_only else np.unravel_index(
-                np.arange(self.counts.size), self.counts.shape)
-            for i, j in zip(xs, ys):
+            for i, j in zip(*np.nonzero(self.counts)):
                 fh.write(f"{self.x_centers[i]:.1f},{self.y_centers[j]:.1f},"
                          f"{self.counts[i, j]}\n")
 

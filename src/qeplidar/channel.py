@@ -187,7 +187,7 @@ def validate_scene(scene, grating: GratingSpec):
     for t in scene:
         try:
             intervals.append((t.angular_interval_deg(grating), t.id))
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             problems.append(f"target {t.id}: {exc}")
     intervals.sort()
     for (a, id_a), (b, id_b) in zip(intervals, intervals[1:]):

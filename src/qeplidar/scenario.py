@@ -1,16 +1,27 @@
 """Scenario configuration: JSON schema, strict validation, fingerprinting.
 
 The on-disk schema is versioned JSON with wavelength inputs in nm (converted
-once at the boundary).  Unknown keys are errors, not warnings; a typo in a
-physics parameter must not silently revert to a default.  Validation
-collects every violation instead of failing on the first.
+once at the boundary).  An object section's file keys and defaults are the
+parameters of the constructor it builds, read from its signature:
+``PumpSpec.from_wavelength``, ``EmissionRates``, ``GratingSpec``,
+``DetectorSpec`` and so on.  The only exceptions: ``rates`` keys end in
+``_per_pulse``, ``DispersionModel.validity_band_nm`` is no file key,
+``channels`` requires both efficiencies, and a scene entry's ``id`` defaults
+to ``target{i}``.  Unknown keys are errors, not warnings; a typo in a physics
+parameter must not silently revert to a default.  A section that is not an
+object is an error too, and so is a null, except that the optional sections
+(``phase_match``, ``dispersion``, ``grating``, ``scene``) may be null for
+their defaults.  Validation collects every violation instead of failing on
+the first.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .channel import (ChannelSpec, DispersionModel, GratingSpec, Target,
                       diffraction_angle, validate_scene)
@@ -85,77 +96,24 @@ class ScenarioConfig:
             for band_edge in (self.probe_band.lo_nm, self.probe_band.hi_nm):
                 try:
                     diffraction_angle(band_edge, self.grating)
-                except ValueError as exc:
+                except (TypeError, ValueError) as exc:
                     problems.append(str(exc))
         try:
             self.dispersion.arrival_shift_ps(self.herald_band.lo_nm)
             self.dispersion.arrival_shift_ps(self.probe_band.hi_nm)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             problems.append(str(exc))
         return problems
 
     def to_dict(self) -> dict:
-        det = {name: {
-            "quantum_efficiency": d.quantum_efficiency,
-            "jitter_fwhm_ps": d.jitter_fwhm_ps,
-            "dark_rate_per_s": d.dark_rate_per_s,
-            "dead_time_ps": d.dead_time_ps,
-        } for name, d in sorted(self.detectors.items())}
-        return {
-            "version": SCHEMA_VERSION,
-            "description": self.description,
-            "pump": {
-                "repetition_rate_mhz": self.pump.repetition_rate_mhz,
-                "center_wavelength_nm": self.pump.center_wavelength_nm,
-                "spectral_fwhm_ghz": self.pump.spectral_fwhm_ghz,
-                "pulse_duration_ps": self.pump.pulse_duration_ps,
-            },
-            "rates": {
-                "pair_rate_per_pulse": self.rates.pair_rate,
-                "single_probe_rate_per_pulse": self.rates.single_probe_rate,
-                "single_herald_rate_per_pulse": self.rates.single_herald_rate,
-            },
-            "phase_match": {
-                "kappa_coefficients": list(self.phase_match.kappa_coefficients),
-                "length_m": self.phase_match.length_m,
-            },
-            "herald_band": {"center_nm": self.herald_band.center_nm,
-                            "width_nm": self.herald_band.width_nm},
-            "probe_band": {"center_nm": self.probe_band.center_nm,
-                           "width_nm": self.probe_band.width_nm},
-            "dispersion": {
-                "mode": self.dispersion.mode,
-                "slope_ns_per_nm": self.dispersion.slope_ns_per_nm,
-                "anchor_wavelength_nm": self.dispersion.anchor_wavelength_nm,
-                "polynomial_coefficients": list(
-                    self.dispersion.polynomial_coefficients),
-                "fiber_length_km": self.dispersion.fiber_length_km,
-            },
-            "grating": {
-                "groove_density_per_mm": self.grating.groove_density_per_mm,
-                "incidence_angle_deg": self.grating.incidence_angle_deg,
-                "order": self.grating.order,
-                "beam_waist_mm": self.grating.beam_waist_mm,
-            },
-            "scene": [{
-                "id": t.id,
-                "center_wavelength_nm": t.center_wavelength_nm,
-                "angular_halfwidth_deg": t.angular_halfwidth_deg,
-                "distance_m": t.distance_m,
-                "roundtrip_efficiency": t.roundtrip_efficiency,
-            } for t in self.scene],
-            "channels": {
-                "probe_efficiency": self.channels.probe_efficiency,
-                "herald_efficiency": self.channels.herald_efficiency,
-                "noise_rate_per_s": self.channels.noise_rate_per_s,
-                "loopback": self.channels.loopback,
-            },
-            "detectors": det,
-            "duration_s": self.duration_s,
-            "seed": self.seed,
-            "configurations": list(self.configurations),
-            "ref_divider": self.ref_divider,
-        }
+        """The scenario as the JSON object a file holds."""
+        out = {key: _plain(getattr(self, key), keys)
+               for key, (_, keys) in _SECTIONS.items()}
+        out["scene"] = [_plain(t, _TARGET[1]) for t in self.scene]
+        out["detectors"] = {name: _plain(spec, _DETECTOR[1])
+                            for name, spec in self.detectors.items()}
+        out.update(_plain(self, {key: _FIELDS[key] for key in _SCALARS}))
+        return {"version": SCHEMA_VERSION, **out}
 
     def fingerprint(self) -> bytes:
         canonical = json.dumps(self.to_dict(), sort_keys=True,
@@ -163,155 +121,137 @@ class ScenarioConfig:
         return hashlib.sha256(canonical).digest()
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        from dataclasses import replace
         return replace(self, seed=seed)
 
 
-def _take(mapping: dict, context: str, problems: list, **fields):
-    """Pop expected keys with defaults; record unknown leftovers as errors."""
-    out = {}
-    work = dict(mapping)
-    for key, default in fields.items():
-        if key in work:
-            out[key] = work.pop(key)
-        elif default is ...:
-            problems.append(f"{context}: missing required key {key!r}")
-            out[key] = None
-        else:
-            out[key] = default
-    for key in work:
-        problems.append(f"{context}: unknown key {key!r}")
-    return out
+_REQUIRED = inspect.Parameter.empty
 
 
-def _build(cls, problems, context, *args, **kwargs):
+def _schema(build, rename=(), drop=(), **defaults):
+    """(constructor, file key -> (parameter, default)) for one section, read
+    from the constructor's signature; _REQUIRED marks a required key."""
+    rename = dict(rename)
+    return build, {rename.get(p.name, p.name): (p.name, defaults.get(p.name, p.default))
+                   for p in inspect.signature(build).parameters.values()
+                   if p.name not in drop}
+
+
+# Every object section in file order.  Keys and defaults are the
+# constructor's own; the exceptions are the arguments written here.
+_SECTIONS = {
+    "pump": _schema(PumpSpec.from_wavelength),
+    "rates": _schema(EmissionRates, rename={
+        f.name: f.name + "_per_pulse" for f in fields(EmissionRates)}),
+    "phase_match": _schema(PhaseMatchModel),
+    "herald_band": _schema(SpectralBand),
+    "probe_band": _schema(SpectralBand),
+    "dispersion": _schema(DispersionModel, drop=("validity_band_nm",)),
+    "grating": _schema(GratingSpec),
+    "channels": _schema(ChannelSpec, probe_efficiency=_REQUIRED,
+                        herald_efficiency=_REQUIRED),
+}
+_TARGET = _schema(Target, id=None)          # id defaults to target{i}
+_DETECTOR = _schema(DetectorSpec)
+_CHANNELS = ("ref", "herald", "probe")
+_SCALARS = {"duration_s": float, "seed": int, "configurations": tuple,
+            "ref_divider": int, "description": str}
+# Sections a file may omit or set to null: they take their defaults.
+_OPTIONAL = {"phase_match": {}, "dispersion": {}, "grating": {}, "scene": []}
+_FIELDS = _schema(ScenarioConfig, **_OPTIONAL)[1]
+_TOP = {"version": ("version", _REQUIRED), **_FIELDS}
+
+
+def _plain(obj, keys) -> dict:
+    """One section back as its file keys; tuples become JSON lists."""
+    values = {key: getattr(obj, param) for key, (param, _) in keys.items()}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+
+def _read(data, keys, context, problems):
+    """Constructor arguments from one JSON object; records every missing
+    required key and unknown key.  None for a non-object or a missing key."""
+    if not isinstance(data, dict):
+        problems.append(f"{context}: expected an object")
+        return None
+    missing = [key for key, (_, default) in keys.items()
+               if default is _REQUIRED and key not in data]
+    problems.extend(f"{context}: missing required key {key!r}" for key in missing)
+    problems.extend(f"{context}: unknown key {key!r}" for key in data if key not in keys)
+    return None if missing else {
+        param: data[key] for key, (param, _) in keys.items() if key in data}
+
+
+def _section(build, keys, data, context, problems, **fill):
+    """One object section built; its errors are recorded under context."""
+    args = _read(data, keys, context, problems)
+    if args is None:
+        return None
     try:
-        return cls(*args, **kwargs)
+        built = build(**{**fill, **args})
     except (TypeError, ValueError) as exc:
         problems.append(f"{context}: {exc}")
         return None
+    problems.extend(f"{context}.{key}: must not be null"
+                    for key, value in data.items() if key in keys and value is None)
+    return built
+
+
+def _scene(entries, context, problems):
+    if not isinstance(entries, list):
+        problems.append(f"{context}: expected a list")
+        return ()
+    targets = [_section(*_TARGET, entry, f"{context}[{i}]", problems,
+                        id=f"target{i}") for i, entry in enumerate(entries)]
+    return tuple(t for t in targets if t is not None)
+
+
+def _detectors(data, context, problems):
+    if not isinstance(data, dict):
+        problems.append(f"{context}: expected an object")
+        return {}
+    problems.extend(f"{context}: unknown channel {key!r}"
+                    for key in sorted(set(data) - set(_CHANNELS)))
+    specs = {}
+    for name in _CHANNELS:
+        if data.get(name) is None:
+            problems.append(f"{context}: missing channel {name!r}")
+        else:
+            specs[name] = _section(*_DETECTOR, data[name], f"{context}.{name}",
+                                   problems)
+    return specs
+
+
+def _scalar(convert, value, context, problems):
+    try:
+        if value is None:
+            raise ValueError("must not be null")
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        problems.append(f"{context}: {exc}")
+
+
+_PARSE = {"scene": _scene, "detectors": _detectors,
+          **{key: partial(_section, *spec) for key, spec in _SECTIONS.items()},
+          **{key: partial(_scalar, convert) for key, convert in _SCALARS.items()}}
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build and fully validate a scenario; raises ScenarioError listing
     every violation when anything is wrong."""
     problems: list = []
-    top = _take(dict(data), "scenario", problems,
-                version=..., pump=..., rates=..., phase_match={},
-                herald_band=..., probe_band=..., dispersion={}, grating={},
-                scene=[], channels=..., detectors=..., duration_s=...,
-                seed=..., configurations=["probe:on|noise:on"], ref_divider=1,
-                description="")
-    if top["version"] not in (None, SCHEMA_VERSION):
-        problems.append(f"unsupported schema version {top['version']}")
-
-    pump = rates = pm = herald_band = probe_band = None
-    dispersion = grating = channels = None
-    scene: tuple = ()
-    detectors: dict = {}
-
-    if isinstance(top["pump"], dict):
-        f = _take(top["pump"], "pump", problems, repetition_rate_mhz=...,
-                  center_wavelength_nm=..., spectral_fwhm_ghz=...,
-                  pulse_duration_ps=12.0)
-        if None not in f.values():
-            pump = _build(PumpSpec.from_wavelength, problems, "pump", **f)
-    elif top["pump"] is not None:
-        problems.append("pump: expected an object")
-
-    if isinstance(top["rates"], dict):
-        f = _take(top["rates"], "rates", problems, pair_rate_per_pulse=...,
-                  single_probe_rate_per_pulse=0.0,
-                  single_herald_rate_per_pulse=0.0)
-        if None not in f.values():
-            rates = _build(EmissionRates, problems, "rates",
-                           f["pair_rate_per_pulse"],
-                           f["single_probe_rate_per_pulse"],
-                           f["single_herald_rate_per_pulse"])
-    elif top["rates"] is not None:
-        problems.append("rates: expected an object")
-
-    f = _take(top["phase_match"] or {}, "phase_match", problems,
-              kappa_coefficients=[0.0], length_m=0.01)
-    pm = _build(PhaseMatchModel, problems, "phase_match",
-                tuple(f["kappa_coefficients"]), f["length_m"])
-
-    for name in ("herald_band", "probe_band"):
-        if isinstance(top[name], dict):
-            f = _take(top[name], name, problems, center_nm=..., width_nm=...)
-            if None not in f.values():
-                band = _build(SpectralBand, problems, name,
-                              f["center_nm"], f["width_nm"])
-                if name == "herald_band":
-                    herald_band = band
-                else:
-                    probe_band = band
-        elif top[name] is not None:
-            problems.append(f"{name}: expected an object")
-
-    f = _take(top["dispersion"] or {}, "dispersion", problems, mode="linear",
-              slope_ns_per_nm=0.4, anchor_wavelength_nm=1540.56,
-              polynomial_coefficients=[], fiber_length_km=25.248)
-    dispersion = _build(DispersionModel, problems, "dispersion", f["mode"],
-                        f["slope_ns_per_nm"], f["anchor_wavelength_nm"],
-                        tuple(f["polynomial_coefficients"]),
-                        f["fiber_length_km"])
-
-    f = _take(top["grating"] or {}, "grating", problems,
-              groove_density_per_mm=600.0, incidence_angle_deg=3.05,
-              order=-1, beam_waist_mm=3.6)
-    grating = _build(GratingSpec, problems, "grating", f["groove_density_per_mm"],
-                     f["incidence_angle_deg"], f["order"], f["beam_waist_mm"])
-
-    targets = []
-    for i, entry in enumerate(top["scene"] or []):
-        f = _take(entry, f"scene[{i}]", problems, id=f"target{i}",
-                  center_wavelength_nm=..., angular_halfwidth_deg=...,
-                  distance_m=..., roundtrip_efficiency=1.0)
-        if None not in f.values():
-            t = _build(Target, problems, f"scene[{i}]", f["id"],
-                       f["center_wavelength_nm"], f["angular_halfwidth_deg"],
-                       f["distance_m"], f["roundtrip_efficiency"])
-            if t is not None:
-                targets.append(t)
-    scene = tuple(targets)
-
-    if isinstance(top["channels"], dict):
-        f = _take(top["channels"], "channels", problems, probe_efficiency=...,
-                  herald_efficiency=..., noise_rate_per_s=0.0, loopback=False)
-        if None not in f.values():
-            channels = _build(ChannelSpec, problems, "channels",
-                              f["probe_efficiency"], f["herald_efficiency"],
-                              f["noise_rate_per_s"], f["loopback"])
-    elif top["channels"] is not None:
-        problems.append("channels: expected an object")
-
-    if isinstance(top["detectors"], dict):
-        extra = set(top["detectors"]) - {"ref", "herald", "probe"}
-        for key in sorted(extra):
-            problems.append(f"detectors: unknown channel {key!r}")
-        for name in ("ref", "herald", "probe"):
-            entry = top["detectors"].get(name)
-            if entry is None:
-                problems.append(f"detectors: missing channel {name!r}")
-                continue
-            f = _take(entry, f"detectors.{name}", problems,
-                      quantum_efficiency=1.0, jitter_fwhm_ps=0.0,
-                      dark_rate_per_s=0.0, dead_time_ps=0.0)
-            spec = _build(DetectorSpec, problems, f"detectors.{name}", **f)
-            if spec is not None:
-                detectors[name] = spec
-    elif top["detectors"] is not None:
-        problems.append("detectors: expected an object")
-
+    _read(data, _TOP, "scenario", problems)
+    if data.get("version", SCHEMA_VERSION) != SCHEMA_VERSION:
+        problems.append(f"unsupported schema version {data['version']}")
+    args = {}
+    for key, (_, default) in _FIELDS.items():
+        value = data.get(key, default)
+        if value is None and key in _OPTIONAL:
+            value = default
+        if value is not _REQUIRED:
+            args[key] = _PARSE[key](value, key, problems)
     if problems:
         raise ScenarioError(problems)
-
-    config = ScenarioConfig(pump, rates, pm, herald_band, probe_band,
-                            dispersion, grating, scene, channels, detectors,
-                            float(top["duration_s"]), int(top["seed"]),
-                            tuple(top["configurations"]),
-                            int(top["ref_divider"]), str(top["description"]))
+    config = ScenarioConfig(**args)
     problems = config.validate()
     if problems:
         raise ScenarioError(problems)

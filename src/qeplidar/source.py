@@ -48,7 +48,8 @@ class PumpSpec:
 
     @classmethod
     def from_wavelength(cls, repetition_rate_mhz, center_wavelength_nm,
-                        spectral_fwhm_ghz, pulse_duration_ps=12.0) -> "PumpSpec":
+                        spectral_fwhm_ghz,
+                        pulse_duration_ps=pulse_duration_ps) -> "PumpSpec":
         return cls(repetition_rate_mhz, wavelength_to_frequency(center_wavelength_nm),
                    spectral_fwhm_ghz, pulse_duration_ps)
 
@@ -146,9 +147,6 @@ class SpectralBand:
     @property
     def hi_thz(self) -> float:
         return wavelength_to_frequency(self.lo_nm)
-
-    def contains_thz(self, f):
-        return (np.asarray(f) >= self.lo_thz) & (np.asarray(f) <= self.hi_thz)
 
     def overlaps(self, other: "SpectralBand") -> bool:
         return not (self.hi_nm <= other.lo_nm or other.hi_nm <= self.lo_nm)

@@ -59,17 +59,6 @@ class RateParams:
                 "first-order closed forms degrade",
                 FirstOrderWarning, stacklevel=3)
 
-    @classmethod
-    def from_per_second(cls, period_s: float, nu_cc_per_pulse: float,
-                        sc_p_per_pulse: float = 0.0, sc_h_per_pulse: float = 0.0,
-                        noise_p_per_s: float = 0.0, dc_p_per_s: float = 0.0,
-                        dc_h_per_s: float = 0.0, eta_p: float = 1.0,
-                        eta_h: float = 1.0) -> "RateParams":
-        """Source rates are per pulse; detector/noise rates per second."""
-        return cls(nu_cc_per_pulse, sc_p_per_pulse, sc_h_per_pulse,
-                   noise_p_per_s * period_s, dc_p_per_s * period_s,
-                   dc_h_per_s * period_s, eta_p, eta_h)
-
 
 def _herald_factor(p: RateParams) -> float:
     return (p.nu_cc + p.nu_sc_h) * p.eta_h + p.nu_dc_h

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qeplidar import cli
+from qeplidar.analysis import build_jti, fold_to_pulse_frame
 from qeplidar.detect import (CH_HERALD, CH_PROBE, CH_REF, apply_dead_time,
                              read_tags, write_tags)
 from qeplidar.pipeline import (
@@ -240,13 +241,33 @@ def test_cli_simulate_analyze_report(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, config)
     out_dir = str(tmp_path / "out")
     assert cli.main(["simulate", "--config", cfg_path,
-                     "--out-dir", out_dir]) == 0
+                     "--out-dir", out_dir, "--format", "csv"]) == 0
     assert cli.main(["analyze", "--config", cfg_path,
-                     "--out-dir", out_dir]) == 0
+                     "--out-dir", out_dir, "--format", "csv"]) == 0
     report_path = os.path.join(out_dir, "report.json")
     assert os.path.exists(report_path)
     assert cli.main(["report", "--report", report_path]) == 0
     capsys.readouterr()
+
+    def csv_lines(name):
+        with open(os.path.join(out_dir, name)) as fh:
+            return fh.read().splitlines()
+
+    for label in config.configurations:
+        qtt = os.path.basename(cli._stream_path(out_dir, label))
+        tags = csv_lines(qtt.replace(".qtt", ".csv"))
+        assert tags[0] == "channel,timestamp_ps"
+        assert len(tags) - 1 == len(read_tags(os.path.join(out_dir, qtt)))
+    folded = fold_to_pulse_frame(read_tags(cli._stream_path(out_dir, ON)),
+                                 period_ps=config.pump.period_ps,
+                                 divider=config.ref_divider)
+    jti = csv_lines("jti.csv")
+    assert jti[0] == "x_bin,y_bin,count"
+    assert len(jti) - 1 == np.count_nonzero(build_jti(folded).counts) > 0
+    car = csv_lines("car.csv")
+    assert car[0] == "herald_center_ps,probe_peak_ps,n_cc,n_acc,car,lower_bound"
+    with open(report_path) as fh:
+        assert len(car) - 1 == len(json.load(fh)["car"])
 
 
 def test_cli_validation_error_exit_code(tmp_path, capsys):
@@ -254,6 +275,34 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"version": 1}))
     assert cli.main(["simulate", "--config", str(path)]) == cli.EXIT_VALIDATION
     capsys.readouterr()
+
+
+BASELINE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                        "paper_baseline.json")
+
+
+@pytest.mark.parametrize("section, patch", [
+    ("phase_match", {"phase_match": [1]}),
+    ("grating", {"grating": 5}),
+    ("dispersion", {"dispersion": "x"}),
+    ("scene[0]", {"scene": [3]}),
+    ("scene", {"scene": 7}),
+    ("detectors.ref", {"detectors": {"ref": "x", "herald": {}, "probe": {}}}),
+    ("duration_s", {"duration_s": None}),
+    ("pump.pulse_duration_ps", {"pump": {
+        "repetition_rate_mhz": 19.27, "center_wavelength_nm": 1540.56,
+        "spectral_fwhm_ghz": 31.6, "pulse_duration_ps": None}}),
+])
+def test_cli_malformed_section_exit_code(tmp_path, capsys, section, patch):
+    with open(BASELINE) as fh:
+        data = json.load(fh)
+    data.update(patch)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out_dir = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", str(path),
+                     "--out-dir", out_dir]) == cli.EXIT_VALIDATION
+    assert f"{section}: " in capsys.readouterr().err
 
 
 def test_cli_io_error_exit_code(capsys):

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from qeplidar.channel import DispersionModel, GratingSpec
+from qeplidar.detect import DetectorSpec
 from qeplidar.scenario import (
     ScenarioError,
     SweepSpec,
@@ -11,6 +13,7 @@ from qeplidar.scenario import (
     save_scenario,
     scenario_from_dict,
 )
+from qeplidar.source import PhaseMatchModel, PumpSpec
 
 from conftest import loopback_scenario, scene_scenario, five_target_scene
 
@@ -41,6 +44,19 @@ def test_bundled_baseline_loads_clean():
     assert config.validate() == []
     assert len(config.scene) == 5
     assert config.pump.repetition_rate_mhz == 19.27
+    with open(BASELINE) as fh:
+        assert config.to_dict() == json.load(fh)
+
+
+def test_omitted_keys_take_the_model_defaults():
+    config = scenario_from_dict(_minimal_dict())
+    assert config.grating == GratingSpec()
+    assert config.dispersion == DispersionModel()
+    assert config.phase_match == PhaseMatchModel()
+    assert config.detectors == {name: DetectorSpec()
+                                for name in ("ref", "herald", "probe")}
+    assert config.pump.pulse_duration_ps == \
+        PumpSpec.from_wavelength(19.27, 1540.56, 31.6).pulse_duration_ps
 
 
 def test_negative_efficiency_names_field():
