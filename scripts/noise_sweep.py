@@ -8,7 +8,6 @@ pinned near the CAR whatever the noise level.  Writes one CSV row per
 """
 
 import argparse
-import math
 import os
 import sys
 
@@ -16,15 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
-from qeplidar.analysis import (
-    CountWindow,
-    car_per_herald_bin,
-    fold_to_pulse_frame,
-    snr_classical,
-    snr_enhancement,
-    snr_quantum,
-)
-from qeplidar.pipeline import simulate
+from qeplidar.pipeline import analyze, simulate
 from qeplidar.scenario import load_scenario, scenario_from_dict
 
 ON = "probe:on|noise:on"
@@ -61,26 +52,14 @@ def main():
         cfg["channels"] = dict(base["channels"])
         cfg["channels"]["noise_rate_per_s"] = 10 ** (db / 10.0) * true_rate
         config = scenario_from_dict(cfg)
-        streams = simulate(config, threads=args.threads)
-        folded = {k: fold_to_pulse_frame(v, period_ps=config.pump.period_ps,
-                                         divider=config.ref_divider)
-                  for k, v in streams.items()}
-        on, off = folded[ON], folded[OFF]
-        ridge = car_per_herald_bin(on)
-        from qeplidar.analysis import cluster_ridge_bins
-        clusters = cluster_ridge_bins(ridge)
-        measured_db = 10 * math.log10(
-            off.probe_rel.size / max(on.probe_rel.size - off.probe_rel.size, 1))
-        for k, bins in enumerate(clusters):
-            best = max(bins, key=lambda rb: rb.n_cc)
-            window = CountWindow(best.probe_peak_ps, best.herald_center_ps)
-            rq = snr_quantum(on, off, [window])[0]
-            rc = snr_classical(on, off, [window])[0]
-            esnr = snr_enhancement(rq, rc)
-            rows.append((measured_db, f"target{k + 1}", rc.value, rq.value,
-                         esnr.value, best.car))
+        report = analyze(simulate(config, threads=args.threads), config)
+        measured_db = report.noise_intensity_db
+        car = {rb.herald_center_ps: rb.car for rb in report.car_bins}
+        for t in report.targets:
+            rows.append((measured_db, t.id, t.snr_classical, t.snr_quantum,
+                         t.esnr, car[t.window["herald_center_ps"]]))
         print(f"{db:5.1f} dB nominal ({measured_db:5.2f} measured): "
-              f"{len(clusters)} targets")
+              f"{len(report.targets)} targets")
 
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as fh:

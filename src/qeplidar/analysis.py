@@ -7,8 +7,21 @@ randomness diagnostics on heralding arrival times.
 
 Counting conventions: coincidences are per-pulse herald x probe
 combinations; accidentals come from the same probe window displaced by
-whole pump periods; analysis windows are 100 ps unless stated.  Counting
-windows are half-open [lo, hi).
+whole pump periods.  Counting windows are half-open [lo, hi).
+
+The analysis decisions are module constants, each set here and nowhere else:
+
+- WINDOW_PS = 100.0: width of every histogram bin, herald bin and count
+  window, the paper's coincidence window;
+- ACC_SHIFTS = (-5, ..., -1, 1, ..., 5): the pump-period displacements
+  whose windows are averaged for the accidentals;
+- MIN_CC = 10: same-pulse pairs a herald bin needs for a CAR;
+- MIN_COUNTS = 5, SIGMA_ABOVE_BASELINE = 5.0, PEAK_BREAK_PS = 250.0: the
+  target rule of cluster_ridge_bins;
+- CAL_DEGREE = 3: highest degree of a time-to-wavelength polynomial;
+- SMOOTH_BINS = 2.0, PROMINENCE_FRAC = 0.05: spectral-feature smoothing
+  (bins) and prominence (fraction of the curve's span);
+- MIN_RANDOMNESS_EVENTS = 1000: events the randomness report needs.
 """
 
 from __future__ import annotations
@@ -23,6 +36,17 @@ from .channel import DispersionModel, GratingSpec, angular_dispersion, diffracti
 from .detect import CH_HERALD, CH_PROBE, CH_REF, TagStream
 from .model import C_CM_PER_PS, C_M_PER_PS, C_NM_THZ, PS_PER_NS, sigma_to_fwhm
 from .source import PhaseMatchModel, PumpSpec, SpectralBand, jsi_weight
+
+WINDOW_PS = 100.0
+ACC_SHIFTS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+MIN_CC = 10
+MIN_COUNTS = 5
+SIGMA_ABOVE_BASELINE = 5.0
+PEAK_BREAK_PS = 250.0
+CAL_DEGREE = 3
+SMOOTH_BINS = 2.0
+PROMINENCE_FRAC = 0.05
+MIN_RANDOMNESS_EVENTS = 1000
 
 
 class AnalysisError(RuntimeError):
@@ -63,7 +87,6 @@ class FoldedEvents:
     herald_rel: np.ndarray
     probe_pulse: np.ndarray
     probe_rel: np.ndarray
-    n_pulses: int
     period_ps: float
 
     @property
@@ -71,7 +94,7 @@ class FoldedEvents:
         return self.period_ps / 2.0
 
 
-def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
+def fold_to_pulse_frame(stream: TagStream, *, period_ps: float,
                         divider: int = 1) -> FoldedEvents:
     """Assign every herald/probe tag to its nearest pump pulse.
 
@@ -84,14 +107,6 @@ def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
     refs = stream.channel_times(CH_REF)
     if refs.size == 0:
         raise AnalysisError("stream has no REF tags; cannot fold")
-    if period_ps is None:
-        if divider == 1 and refs.size > 1:
-            period_ps = float(np.median(np.diff(refs)))
-        elif stream.period_ps_rounded > 0:
-            period_ps = float(stream.period_ps_rounded)
-        else:
-            raise AnalysisError("pump period required to fold this stream")
-
     # integer ps below 2**53: every midpoint is an exact half in float64
     midpoints = (refs[:-1] + refs[1:]) / 2.0
     out = {}
@@ -108,13 +123,7 @@ def fold_to_pulse_frame(stream: TagStream, *, period_ps: float | None = None,
         in_order = np.all((dp > 0) | ((dp == 0) & (rel[1:] >= rel[:-1])))
         order = slice(None) if in_order else np.lexsort((rel, pulse))
         out[ch] = (pulse[order], rel[order])
-
-    n_pulses = (refs.size - 1) * divider + 1
-    last = max([int(p[-1]) for p, _ in out.values() if p.size], default=0)
-    n_pulses = max(n_pulses, last + 1)
-    return FoldedEvents(out[CH_HERALD][0], out[CH_HERALD][1],
-                        out[CH_PROBE][0], out[CH_PROBE][1],
-                        n_pulses, float(period_ps))
+    return FoldedEvents(*out[CH_HERALD], *out[CH_PROBE], float(period_ps))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,6 @@ class Histogram2D:
     counts: np.ndarray
     x_edges: np.ndarray
     y_edges: np.ndarray
-    bin_width_ps: float
 
     @property
     def x_centers(self):
@@ -147,8 +155,8 @@ class Histogram2D:
                          f"{self.counts[i, j]}\n")
 
 
-def _frame_edges(half_period: float, bin_width: float) -> np.ndarray:
-    edges = np.arange(-half_period, half_period, bin_width)
+def _frame_edges(half_period: float) -> np.ndarray:
+    edges = np.arange(-half_period, half_period, WINDOW_PS)
     return np.append(edges, half_period)
 
 
@@ -187,11 +195,11 @@ def window_counts(folded: FoldedEvents, herald_pulse, lo: float, hi: float,
     return np.bincount(in_window // herald_pulse.size, minlength=shifts.size)
 
 
-def build_jti(folded: FoldedEvents, bin_width_ps: float = 100.0) -> Histogram2D:
+def build_jti(folded: FoldedEvents) -> Histogram2D:
     """2-D histogram of same-pulse (probe rel, herald rel) combinations."""
     if folded.herald_pulse.size == 0 and folded.probe_pulse.size == 0:
         raise AnalysisError("no folded events to histogram")
-    edges = _frame_edges(folded.half_period, bin_width_ps)
+    edges = _frame_edges(folded.half_period)
     n = edges.size - 1
     ih, ip = pulse_pairs(folded)
     counts = np.zeros((n, n), dtype=np.int64)
@@ -199,16 +207,16 @@ def build_jti(folded: FoldedEvents, bin_width_ps: float = 100.0) -> Histogram2D:
         xi = _bin_index(folded.probe_rel[ip], edges)
         yi = _bin_index(folded.herald_rel[ih], edges)
         np.add.at(counts, (xi, yi), 1)
-    return Histogram2D(counts, edges, edges.copy(), bin_width_ps)
+    return Histogram2D(counts, edges, edges.copy())
 
 
-def probe_window_histogram(folded: FoldedEvents, bin_width_ps: float = 100.0):
+def probe_window_histogram(folded: FoldedEvents):
     """Counts of ALL probe tags per disjoint relative-time window.
 
     The windows tile the full pulse frame, so the counts sum to the total
     number of probe tags (bookkeeping invariant).
     """
-    edges = _frame_edges(folded.half_period, bin_width_ps)
+    edges = _frame_edges(folded.half_period)
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     if folded.probe_rel.size:
         np.add.at(counts, _bin_index(folded.probe_rel, edges), 1)
@@ -290,34 +298,30 @@ class RidgeBin:
     car_is_lower_bound: bool
 
 
-def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
-                       window_ps: float = 100.0, n_acc_windows: int = 10,
-                       min_cc: int = 10) -> list:
-    """CAR for every herald bin with at least `min_cc` ridge coincidences.
+def car_per_herald_bin(folded: FoldedEvents) -> list:
+    """CAR for every herald bin with at least MIN_CC same-pulse pairs.
 
     Per bin: locate the probe-time coincidence peak (Gaussian fit, falling
     back to the maximum bin when the slice is too sparse to fit), count
     same-pulse coincidences in the window x window square, and average the
-    counts of the same probe window displaced by +-k pump periods for the
-    accidentals.  A zero accidental estimate yields the documented sentinel
-    CAR = N_CC * n_acc_windows (a lower bound) with the flag set.
+    counts of the same probe window displaced by the ACC_SHIFTS pump periods
+    for the accidentals.  A zero accidental estimate yields the documented
+    sentinel CAR = N_CC * len(ACC_SHIFTS) (a lower bound) with the flag set.
     """
-    edges = _frame_edges(folded.half_period, bin_width_ps)
+    edges = _frame_edges(folded.half_period)
     ih, ip = pulse_pairs(folded)
     if ih.size == 0:
         return []
     hbin = _bin_index(folded.herald_rel[ih], edges)
-    half_w = window_ps / 2.0
-    shifts = [k for k in range(-(n_acc_windows // 2), n_acc_windows // 2 + 1)
-              if k != 0][:n_acc_windows]
+    half_w = WINDOW_PS / 2.0
     out = []
     for b in np.unique(hbin):
         sel = hbin == b
-        if sel.sum() < min_cc:
+        if sel.sum() < MIN_CC:
             continue
         rel_p = folded.probe_rel[ip[sel]]
-        hist_edges = np.arange(rel_p.min() - bin_width_ps,
-                               rel_p.max() + 2 * bin_width_ps, bin_width_ps)
+        hist_edges = np.arange(rel_p.min() - WINDOW_PS,
+                               rel_p.max() + 2 * WINDOW_PS, WINDOW_PS)
         hist, _ = np.histogram(rel_p, bins=hist_edges)
         centers = 0.5 * (hist_edges[:-1] + hist_edges[1:])
         try:
@@ -327,35 +331,34 @@ def car_per_herald_bin(folded: FoldedEvents, *, bin_width_ps: float = 100.0,
         herald_lo, herald_hi = edges[b], edges[b + 1]
         h_in_bin = (folded.herald_rel >= herald_lo) & (folded.herald_rel < herald_hi)
         counts = window_counts(folded, folded.herald_pulse[h_in_bin],
-                               peak - half_w, peak + half_w, [0] + shifts)
+                               peak - half_w, peak + half_w, (0,) + ACC_SHIFTS)
         n_cc = int(counts[0])
         n_acc = float(np.mean(counts[1:]))
         if n_acc > 0:
             car = n_cc / n_acc
             lower_bound = False
         else:
-            car = float(n_cc * len(shifts))
+            car = float(n_cc * len(ACC_SHIFTS))
             lower_bound = True
         out.append(RidgeBin(int(b), float(0.5 * (herald_lo + herald_hi)),
                             peak, n_cc, n_acc, car, lower_bound))
     return out
 
 
-def cluster_ridge_bins(ridge: list, *, min_counts: int = 5,
-                       sigma_above_baseline: float = 5.0,
-                       peak_break_ps: float = 250.0) -> list:
+def cluster_ridge_bins(ridge: list) -> list:
     """Group significant adjacent herald bins into target candidates.
 
-    A bin is significant when its coincidence count exceeds its own
-    accidental baseline by `sigma_above_baseline` standard deviations and by
-    `min_counts` in absolute terms.  Adjacent bins stay in one cluster only
-    while their probe peaks follow the t_probe + t_herald = const diagonal;
-    a jump larger than `peak_break_ps` signals a target at a different
-    range and starts a new cluster.
+    This is the target rule.  A bin is significant when its coincidence
+    count is at least MIN_COUNTS and exceeds its own accidental baseline by
+    SIGMA_ABOVE_BASELINE standard deviations, n_cc > n_acc + 5 sqrt(max(n_acc,
+    1)).  Adjacent bins stay in one cluster only while their probe peaks
+    follow the t_probe + t_herald = const diagonal; a jump larger than
+    PEAK_BREAK_PS signals a target at a different range and starts a new
+    cluster.
     """
     significant = [rb for rb in ridge
-                   if rb.n_cc >= min_counts
-                   and rb.n_cc > rb.n_acc + sigma_above_baseline * math.sqrt(
+                   if rb.n_cc >= MIN_COUNTS
+                   and rb.n_cc > rb.n_acc + SIGMA_ABOVE_BASELINE * math.sqrt(
                        max(rb.n_acc, 1.0))]
     clusters = []
     current = []
@@ -365,7 +368,7 @@ def cluster_ridge_bins(ridge: list, *, min_counts: int = 5,
             gap = rb.herald_bin != prev.herald_bin + 1
             diagonal_jump = abs((rb.probe_peak_ps - prev.probe_peak_ps)
                                 + (rb.herald_center_ps - prev.herald_center_ps))
-            if gap or diagonal_jump > peak_break_ps:
+            if gap or diagonal_jump > PEAK_BREAK_PS:
                 clusters.append(current)
                 current = []
         current.append(rb)
@@ -384,7 +387,7 @@ class CountWindow:
 
     probe_center_ps: float
     herald_center_ps: float
-    width_ps: float = 100.0
+    width_ps: float = WINDOW_PS
 
     @property
     def probe_interval(self):
@@ -513,22 +516,21 @@ class CalibrationMap:
         return bool(np.all(d > 0) or np.all(d < 0))
 
     @classmethod
-    def from_dispersion(cls, dispersion: DispersionModel, band: SpectralBand,
-                        degree: int = 3) -> "CalibrationMap":
+    def from_dispersion(cls, dispersion: DispersionModel,
+                        band: SpectralBand) -> "CalibrationMap":
         """Fallback map: exact inverse of the configured dispersion model."""
         shift_lo = float(dispersion.arrival_shift_ps(band.lo_nm))
         shift_hi = float(dispersion.arrival_shift_ps(band.hi_nm))
         span = (min(shift_lo, shift_hi), max(shift_lo, shift_hi))
         t = np.linspace(*span, 512)
         lam = dispersion.wavelength_at_shift(t)
-        deg = 1 if dispersion.mode == "linear" else degree
+        deg = 1 if dispersion.mode == "linear" else CAL_DEGREE
         coeffs = np.polyfit(t, lam, deg)
         resid = float(np.sqrt(np.mean((np.polyval(coeffs, t) - lam) ** 2)))
         return cls(tuple(coeffs), span, residual_nm=resid, source="dispersion")
 
 
-def find_spectral_features(x, y, *, smooth_bins: float = 2.0,
-                           prominence_frac: float = 0.05):
+def find_spectral_features(x, y):
     """Locate singularities (local minima/maxima) of a sampled curve.
 
     Returns (positions of minima, positions of maxima) with sub-bin accuracy
@@ -537,11 +539,11 @@ def find_spectral_features(x, y, *, smooth_bins: float = 2.0,
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    smooth = ndimage.gaussian_filter1d(y, smooth_bins)
+    smooth = ndimage.gaussian_filter1d(y, SMOOTH_BINS)
     span = smooth.max() - smooth.min()
     if span <= 0:
         return np.empty(0), np.empty(0)
-    prominence = prominence_frac * span
+    prominence = PROMINENCE_FRAC * span
 
     def refine(indices):
         pos = []
@@ -558,23 +560,17 @@ def find_spectral_features(x, y, *, smooth_bins: float = 2.0,
 
 
 def calibrate_time_to_wavelength(time_centers_ps, time_counts,
-                                 ref_wavelength_nm, ref_transmission, *,
-                                 smooth_bins: float = 2.0,
-                                 prominence_frac: float = 0.05,
-                                 degree: int = 3) -> CalibrationMap:
+                                 ref_wavelength_nm,
+                                 ref_transmission) -> CalibrationMap:
     """Build the arrival-time -> wavelength map by singularity matching.
 
     Detects local minima/maxima in the measured herald-time histogram and in
     the reference transmission curve, pairs them kind-by-kind in ascending
-    order, and least-squares fits a monotone polynomial (degree <= 3)
-    through the anchor pairs.
+    order, and least-squares fits a monotone polynomial (degree <=
+    CAL_DEGREE) through the anchor pairs.
     """
-    t_min, t_max = find_spectral_features(time_centers_ps, time_counts,
-                                          smooth_bins=smooth_bins,
-                                          prominence_frac=prominence_frac)
-    l_min, l_max = find_spectral_features(ref_wavelength_nm, ref_transmission,
-                                          smooth_bins=smooth_bins,
-                                          prominence_frac=prominence_frac)
+    t_min, t_max = find_spectral_features(time_centers_ps, time_counts)
+    l_min, l_max = find_spectral_features(ref_wavelength_nm, ref_transmission)
     if t_min.size != l_min.size or t_max.size != l_max.size:
         raise CalibrationError(
             f"feature count mismatch: histogram has {t_min.size} minima / "
@@ -590,7 +586,7 @@ def calibrate_time_to_wavelength(time_centers_ps, time_counts,
         raise CalibrationError("matched anchors are not monotone in wavelength")
     # keep at least one residual degree of freedom (except for 2 anchors)
     # so feature-localization noise is averaged instead of interpolated
-    deg = int(min(degree, max(1, anchors_t.size - 2)))
+    deg = int(min(CAL_DEGREE, max(1, anchors_t.size - 2)))
     coeffs = np.polyfit(anchors_t, anchors_l, deg)
     residual = float(np.sqrt(np.mean(
         (np.polyval(coeffs, anchors_t) - anchors_l) ** 2)))
@@ -623,20 +619,18 @@ class ReconstructedTarget:
 def reconstruct_targets(ridge: list, calibration: CalibrationMap,
                         grating: GratingSpec, dispersion: DispersionModel,
                         pump: PumpSpec, *,
-                        min_counts: int = 5, sigma_above_baseline: float = 5.0,
-                        single_shot_resolution: tuple | None = None) -> list:
+                        single_shot_resolution: tuple) -> list:
     """Cluster the coincidence ridge into targets with direction and range.
 
     Per herald bin: the calibration map gives the herald wavelength, energy
     conservation the probe frequency, the grating equation the direction,
     and the fitted probe-peak delay minus the dispersive prediction gives
-    the two-way flight time.  Uncertainties scale the provided single-shot
+    the two-way flight time.  Uncertainties scale the single-shot
     (delta_D, delta_theta) resolution by 1/sqrt(counts).
     """
-    clusters = cluster_ridge_bins(ridge, min_counts=min_counts,
-                                  sigma_above_baseline=sigma_above_baseline)
+    d_res_m, th_res = single_shot_resolution
     out = []
-    for bins in clusters:
+    for bins in cluster_ridge_bins(ridge):
         weights = np.array([rb.n_cc for rb in bins], dtype=np.float64)
         lam_h = calibration.wavelength_at(np.array(
             [rb.herald_center_ps for rb in bins]))
@@ -651,19 +645,11 @@ def reconstruct_targets(ridge: list, calibration: CalibrationMap,
         direction = float(np.average(theta, weights=weights))
         distance = float(np.average(distance_m, weights=weights))
         best = max(bins, key=lambda rb: rb.n_cc)
-        if single_shot_resolution is not None:
-            d_res_m, th_res = single_shot_resolution
-            delta_d = d_res_m / math.sqrt(total)
-            delta_th = th_res / math.sqrt(total)
-        else:
-            delta_d = float(np.sqrt(np.average(
-                (distance_m - distance) ** 2, weights=weights)) / math.sqrt(total))
-            delta_th = float(np.sqrt(np.average(
-                (theta - direction) ** 2, weights=weights)) / math.sqrt(total))
         out.append(ReconstructedTarget(
             direction, distance, int(best.n_cc), float(best.herald_center_ps),
             (bins[0].herald_bin, bins[-1].herald_bin), float(best.probe_peak_ps),
-            float(np.average(lam_pr, weights=weights)), delta_d, delta_th))
+            float(np.average(lam_pr, weights=weights)),
+            d_res_m / math.sqrt(total), th_res / math.sqrt(total)))
     return out
 
 
@@ -685,22 +671,16 @@ class RandomnessReport:
 def herald_time_density(pump: PumpSpec, pm: PhaseMatchModel,
                         herald_band: SpectralBand, probe_band: SpectralBand,
                         dispersion: DispersionModel,
-                        jitter_fwhm_ps: float = 0.0,
-                        partner_weight=None):
+                        jitter_fwhm_ps: float = 0.0):
     """Model pdf of herald arrival times: JSI marginal through dispersion.
 
-    `partner_weight(f_pr_thz) -> weight` folds wavelength-dependent survival
-    of the paired probe photon (scene transmission) into the marginal, which
-    is what a coincidence-gated herald histogram actually measures.  The
-    density is optionally convolved with the detector jitter so band edges
-    compare fairly against measured histograms.  Returns a callable
+    The density is optionally convolved with the detector jitter so band
+    edges compare fairly against measured histograms.  Returns a callable
     evaluating the (unnormalized) density at relative times in ps.
     """
     f_h = np.linspace(herald_band.lo_thz, herald_band.hi_thz, 1200)
     f_pr = np.linspace(probe_band.lo_thz, probe_band.hi_thz, 2400)
     weights = jsi_weight(f_h[:, None], f_pr[None, :], pump, pm)
-    if partner_weight is not None:
-        weights = weights * np.asarray(partner_weight(f_pr))[None, :]
     marginal = np.trapezoid(weights, f_pr, axis=1)
     lam = C_NM_THZ / f_h
     t = dispersion.arrival_shift_ps(lam)
@@ -725,8 +705,6 @@ def herald_time_density(pump: PumpSpec, pm: PhaseMatchModel,
 
 
 def randomness_report(herald_rel_ps, *, expected_pdf=None,
-                      bin_width_ps: float = 100.0,
-                      min_events: int = 1000,
                       support_ps: tuple | None = None) -> RandomnessReport:
     """Chi-square against the model marginal, serial correlation, min-entropy.
 
@@ -736,15 +714,15 @@ def randomness_report(herald_rel_ps, *, expected_pdf=None,
     distribution.  Bins with expected count below 5 are pooled.
     """
     rel = np.asarray(herald_rel_ps, dtype=np.float64)
-    if rel.size < min_events:
-        raise InsufficientDataError(
-            f"{rel.size} events < {min_events} required for randomness checks")
+    if rel.size < MIN_RANDOMNESS_EVENTS:
+        raise InsufficientDataError(f"{rel.size} events < {MIN_RANDOMNESS_EVENTS}"
+                                    " required for randomness checks")
     lo_raw, hi_raw = (rel.min(), rel.max()) if support_ps is None else support_ps
-    lo = math.floor(min(lo_raw, rel.min()) / bin_width_ps) * bin_width_ps
-    hi = math.ceil(max(hi_raw, rel.max()) / bin_width_ps) * bin_width_ps
+    lo = math.floor(min(lo_raw, rel.min()) / WINDOW_PS) * WINDOW_PS
+    hi = math.ceil(max(hi_raw, rel.max()) / WINDOW_PS) * WINDOW_PS
     if hi <= lo:
-        hi = lo + bin_width_ps
-    edges = np.arange(lo, hi + bin_width_ps, bin_width_ps)
+        hi = lo + WINDOW_PS
+    edges = np.arange(lo, hi + WINDOW_PS, WINDOW_PS)
     observed, _ = np.histogram(rel, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     if expected_pdf is None:
@@ -753,7 +731,7 @@ def randomness_report(herald_rel_ps, *, expected_pdf=None,
         # integrate the density over each bin (midpoint subsampling) so
         # sharp band edges are represented by their actual bin mass
         sub = (np.arange(16) + 0.5) / 16.0
-        points = edges[:-1, None] + sub[None, :] * bin_width_ps
+        points = edges[:-1, None] + sub[None, :] * WINDOW_PS
         expected = np.asarray(expected_pdf(points.ravel()),
                               dtype=np.float64).reshape(points.shape).mean(axis=1)
     if expected.sum() <= 0:

@@ -16,6 +16,7 @@ dispersion of a 600 groove/mm grating at 1551 nm / 3.05 deg incidence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,9 @@ class GratingSpec:
     def __post_init__(self):
         if self.groove_density_per_mm <= 0:
             raise ValueError("groove density must be positive")
-        if self.order == 0:
-            raise ValueError("diffraction order must be nonzero")
+        if (isinstance(self.order, bool) or not isinstance(self.order, numbers.Integral)
+                or self.order == 0):
+            raise ValueError(f"order must be a nonzero integer, not {self.order!r}")
         if self.beam_waist_mm <= 0:
             raise ValueError("beam waist must be positive")
 
@@ -219,6 +221,8 @@ class ChannelSpec:
             raise ValueError("herald efficiency must be in [0, 1]")
         if self.noise_rate_per_s < 0:
             raise ValueError("noise rate must be non-negative")
+        if not isinstance(self.loopback, bool):
+            raise ValueError(f"loopback must be true or false, not {self.loopback!r}")
 
 
 def assign_targets(freq_thz, scene, grating: GratingSpec):

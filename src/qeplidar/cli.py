@@ -36,7 +36,7 @@ def _default_threads() -> int:
 
 def _load_config(args):
     config = load_scenario(args.config)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         config = config.with_seed(args.seed)
     return config
 
@@ -187,22 +187,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "time-tag experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="scenario JSON")
-            p.add_argument("--seed", type=int, default=None,
-                           help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads (env QEPLIDAR_THREADS)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def add_common(p, *, threads: bool, csv: bool):
+        p.add_argument("--config", required=True, help="scenario JSON")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the scenario seed")
+        if threads:
+            p.add_argument("--threads", type=int, default=_default_threads(),
+                           help="worker threads (env QEPLIDAR_THREADS)")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("simulate", help="generate tag streams")
-    add_common(p)
+    add_common(p, threads=True, csv=True)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("analyze", help="analyze previously simulated streams")
-    add_common(p)
+    add_common(p, threads=False, csv=True)
     p.add_argument("--out-dir", default="out")
     p.set_defaults(func=cmd_analyze)
 
@@ -220,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("sweep", help="sweep one scenario parameter")
-    add_common(p)
+    add_common(p, threads=True, csv=False)
     p.add_argument("--parameter", required=True,
                    help="dotted path, e.g. channels.noise_rate_per_s")
     p.add_argument("--values", required=True, help="comma-separated values")

@@ -250,9 +250,7 @@ def _check_fingerprints(streams: dict, config: ScenarioConfig):
                 f"does not match scenario {expected.hex()[:16]}...")
 
 
-def analyze(streams: dict, config: ScenarioConfig, *,
-            calibration: analysis.CalibrationMap | None = None,
-            bin_width_ps: float = 100.0) -> AnalysisReport:
+def analyze(streams: dict, config: ScenarioConfig) -> AnalysisReport:
     """Full measurement analysis of the simulated (or re-read) streams."""
     _check_fingerprints(streams, config)
     period = config.pump.period_ps
@@ -267,14 +265,11 @@ def analyze(streams: dict, config: ScenarioConfig, *,
     primary = folded[primary_label]
 
     car_label = CAR_LABEL if CAR_LABEL in folded else primary_label
-    car_bins = analysis.car_per_herald_bin(folded[car_label],
-                                           bin_width_ps=bin_width_ps)
+    car_bins = analysis.car_per_herald_bin(folded[car_label])
     ridge = car_bins if car_label == primary_label else \
-        analysis.car_per_herald_bin(primary, bin_width_ps=bin_width_ps)
-
-    if calibration is None:
-        calibration = analysis.CalibrationMap.from_dispersion(
-            config.dispersion, config.herald_band)
+        analysis.car_per_herald_bin(primary)
+    calibration = analysis.CalibrationMap.from_dispersion(
+        config.dispersion, config.herald_band)
 
     jit_h = config.detectors["herald"].jitter_fwhm_ps
     jit_p = config.detectors["probe"].jitter_fwhm_ps
@@ -300,14 +295,14 @@ def analyze(streams: dict, config: ScenarioConfig, *,
             delta_direction_deg=rt.delta_direction_deg,
             window={"probe_center_ps": rt.probe_peak_ps,
                     "herald_center_ps": rt.herald_center_ps,
-                    "width_ps": bin_width_ps}))
+                    "width_ps": analysis.WINDOW_PS}))
 
     noise_db = math.nan
     if OFF_LABEL in folded:
         off = folded[OFF_LABEL]
         windows = [analysis.CountWindow(t.window["probe_center_ps"],
-                                        t.window["herald_center_ps"],
-                                        bin_width_ps) for t in targets]
+                                        t.window["herald_center_ps"])
+                   for t in targets]
         snr_c = analysis.snr_classical(primary, off, windows)
         snr_q = analysis.snr_quantum(primary, off, windows)
         for t, rc, rq in zip(targets, snr_c, snr_q):
@@ -325,7 +320,7 @@ def analyze(streams: dict, config: ScenarioConfig, *,
 
     herald_rel = folded[car_label].herald_rel
     randomness: dict = {}
-    if herald_rel.size >= 1000:
+    if herald_rel.size >= analysis.MIN_RANDOMNESS_EVENTS:
         rep = analysis.randomness_report(
             herald_rel, expected_pdf=_herald_model_pdf(config, jit_h))
         randomness = asdict(rep)

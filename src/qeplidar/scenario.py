@@ -186,14 +186,16 @@ def _section(build, keys, data, context, problems, **fill):
     args = _read(data, keys, context, problems)
     if args is None:
         return None
+    nulls = [f"{context}.{key}: must not be null"
+             for key, value in data.items() if key in keys and value is None]
+    if nulls:
+        problems.extend(nulls)
+        return None
     try:
-        built = build(**{**fill, **args})
+        return build(**{**fill, **args})
     except (TypeError, ValueError) as exc:
         problems.append(f"{context}: {exc}")
         return None
-    problems.extend(f"{context}.{key}: must not be null"
-                    for key, value in data.items() if key in keys and value is None)
-    return built
 
 
 def _scene(entries, context, problems):

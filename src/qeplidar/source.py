@@ -11,6 +11,7 @@ a pure function of (scenario, seed).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -45,6 +46,11 @@ class PumpSpec:
             raise ValueError("pump center frequency must be positive")
         if self.spectral_fwhm_ghz <= 0:
             raise ValueError("pump spectral FWHM must be positive")
+        if (isinstance(self.pulse_duration_ps, bool)
+                or not isinstance(self.pulse_duration_ps, numbers.Real)
+                or not self.pulse_duration_ps > 0):
+            raise ValueError("pulse_duration_ps must be a positive number, "
+                             f"not {self.pulse_duration_ps!r}")
 
     @classmethod
     def from_wavelength(cls, repetition_rate_mhz, center_wavelength_nm,

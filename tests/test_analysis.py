@@ -5,6 +5,11 @@ import pytest
 from scipy import stats
 
 from qeplidar.analysis import (
+    MIN_CC,
+    MIN_COUNTS,
+    PEAK_BREAK_PS,
+    SIGMA_ABOVE_BASELINE,
+    WINDOW_PS,
     AnalysisError,
     CalibrationError,
     CalibrationMap,
@@ -13,6 +18,7 @@ from qeplidar.analysis import (
     InsufficientDataError,
     NoPeakError,
     RatioResult,
+    RidgeBin,
     build_jti,
     calibrate_time_to_wavelength,
     car_per_herald_bin,
@@ -57,7 +63,7 @@ def _stream_from(ref, herald, probe, duration=None):
 def test_fold_requires_ref():
     stream = merge_streams({CH_PROBE: np.array([5, 10])}, 100)
     with pytest.raises(AnalysisError, match="REF"):
-        fold_to_pulse_frame(stream)
+        fold_to_pulse_frame(stream, period_ps=50.0)
 
 
 def test_fold_trivial_offsets(pump):
@@ -324,7 +330,7 @@ def test_car_zero_accidentals_sentinel(pump):
     probe = pulse_time(event_pulses, pump) + 3000
     folded = fold_to_pulse_frame(_stream_from(refs, herald, probe, refs[-1]),
                                  period_ps=pump.period_ps)
-    ridge = car_per_herald_bin(folded, min_cc=5)
+    ridge = car_per_herald_bin(folded)
     assert ridge[0].car_is_lower_bound
     assert ridge[0].car == ridge[0].n_cc * 10
 
@@ -354,8 +360,7 @@ def test_car_counts_match_brute_force():
     p_pulse = np.concatenate([p_pulse, lone])
     p_rel = np.concatenate([p_rel, gen.normal(-1550.0, 20.0, lone.size)])
     hs, ps = np.lexsort((h_rel, h_pulse)), np.lexsort((p_rel, p_pulse))
-    folded = FoldedEvents(h_pulse[hs], h_rel[hs], p_pulse[ps], p_rel[ps], 1400,
-                          period)
+    folded = FoldedEvents(h_pulse[hs], h_rel[hs], p_pulse[ps], p_rel[ps], period)
 
     ridge = car_per_herald_bin(folded)
     diff = folded.probe_pulse[None, :] - folded.herald_pulse[:, None]
@@ -390,8 +395,8 @@ def test_car_trend_with_quadratic_phase_match():
     )
     stream = simulate(config)["probe:on|noise:on"]
     folded = fold_to_pulse_frame(stream, period_ps=config.pump.period_ps)
-    ridge = [rb for rb in car_per_herald_bin(folded, min_cc=30)
-             if not rb.car_is_lower_bound and rb.n_acc >= 2]
+    ridge = [rb for rb in car_per_herald_bin(folded)
+             if rb.n_cc >= 30 and not rb.car_is_lower_bound and rb.n_acc >= 2]
     assert len(ridge) >= 10
     centers = np.array([rb.herald_center_ps for rb in ridge])
     cars = np.array([rb.car for rb in ridge])
@@ -413,7 +418,6 @@ def _folded_with_counts(pump, n_probe, n_cc, probe_center=4000.0,
         herald_rel=np.full(n_cc, herald_center),
         probe_pulse=probe_pulse,
         probe_rel=np.full(n_probe, probe_center),
-        n_pulses=max(n_probe, n_cc) + 1,
         period_ps=pump.period_ps,
     )
 
@@ -456,12 +460,11 @@ def test_coincidence_counts_match_brute_force(pump):
         return pulse[order], rel[order]
 
     def random_folded(n_herald, n_probe):
-        return FoldedEvents(*events(n_herald, 300), *events(n_probe, 300), 150,
-                            period)
+        return FoldedEvents(*events(n_herald, 300), *events(n_probe, 300), period)
 
     on, off = random_folded(900, 1500), random_folded(700, 1100)
     no_probe = FoldedEvents(*events(900, 300), np.empty(0, dtype=np.int64),
-                            np.empty(0), 150, period)
+                            np.empty(0), period)
     # CountWindow(probe center, herald center, width); with width T the
     # edges land exactly on 0, +-T/2 and +-T
     windows = [CountWindow(float(gen.choice(grid)), float(gen.choice(grid)),
@@ -622,7 +625,8 @@ def test_reconstruct_single_target_distance():
     ridge = car_per_herald_bin(folded)
     cal = CalibrationMap.from_dispersion(config.dispersion, config.herald_band)
     targets = reconstruct_targets(ridge, cal, config.grating,
-                                  config.dispersion, config.pump)
+                                  config.dispersion, config.pump,
+                                  single_shot_resolution=(0.022, 0.144))
     assert len(targets) == 1
     assert targets[0].distance_m == pytest.approx(1.0, abs=0.022)
     lo, hi = config.scene[0].angular_interval_deg(config.grating)
@@ -638,7 +642,8 @@ def test_reconstruct_loopback_zero_distance():
     ridge = car_per_herald_bin(folded)
     cal = CalibrationMap.from_dispersion(config.dispersion, config.herald_band)
     targets = reconstruct_targets(ridge, cal, config.grating,
-                                  config.dispersion, config.pump)
+                                  config.dispersion, config.pump,
+                                  single_shot_resolution=(0.022, 0.144))
     assert len(targets) >= 1
     for t in targets:
         assert abs(t.distance_m) < 0.022
@@ -646,6 +651,56 @@ def test_reconstruct_loopback_zero_distance():
 
 def test_cluster_empty_when_no_peaks():
     assert cluster_ridge_bins([]) == []
+
+
+def _ridge_bin(herald_bin, n_cc, n_acc=0.0, off_diagonal_ps=0.0):
+    """A ridge bin whose probe peak sits off_diagonal_ps past the
+    t_probe + t_herald = 0 diagonal."""
+    center = -4000.0 + WINDOW_PS * (herald_bin + 0.5)
+    return RidgeBin(herald_bin, center, -center + off_diagonal_ps, n_cc, n_acc,
+                    0.0, False)
+
+
+def _clustered_bins(ridge):
+    return [[rb.herald_bin for rb in bins] for bins in cluster_ridge_bins(ridge)]
+
+
+@pytest.mark.parametrize("n_acc", [0.0, 16.0, 100.0])
+def test_cluster_significance_edge(n_acc):
+    edge = n_acc + SIGMA_ABOVE_BASELINE * math.sqrt(max(n_acc, 1.0))
+    assert edge == int(edge)
+    assert _clustered_bins([_ridge_bin(10, int(edge), n_acc)]) == []
+    assert _clustered_bins([_ridge_bin(10, int(edge) + 1, n_acc)]) == [[10]]
+
+
+def test_cluster_drops_few_counts_without_accidentals():
+    assert MIN_COUNTS - 1 == 4
+    assert _clustered_bins([_ridge_bin(10, MIN_COUNTS - 1, 0.0)]) == []
+
+
+def test_cluster_splits_at_a_herald_gap():
+    ridge = [_ridge_bin(b, 50) for b in (13, 10, 11)]
+    assert _clustered_bins(ridge) == [[10, 11], [13]]
+
+
+def test_cluster_splits_above_the_peak_break():
+    def pair(off_diagonal_ps):
+        return [_ridge_bin(10, 50), _ridge_bin(11, 50, off_diagonal_ps=off_diagonal_ps)]
+
+    assert _clustered_bins(pair(PEAK_BREAK_PS)) == [[10, 11]]
+    assert _clustered_bins(pair(PEAK_BREAK_PS + 1e-3)) == [[10], [11]]
+
+
+def test_car_needs_min_cc_same_pulse_pairs():
+    # one herald bin with MIN_CC same-pulse pairs, one with a pair fewer;
+    # events 20 pulses apart leave the displaced windows empty
+    pulses = np.concatenate([np.arange(MIN_CC) * 20,
+                             1000 + np.arange(MIN_CC - 1) * 20]).astype(np.int64)
+    h_rel = np.where(pulses < 1000, -1050.0, 1550.0)
+    folded = FoldedEvents(pulses, h_rel, pulses.copy(), -h_rel, 8000.0)
+    ridge = car_per_herald_bin(folded)
+    assert [rb.herald_bin for rb in ridge] == [29]     # (-1050 + 4000) // 100
+    assert ridge[0].n_cc == MIN_CC
 
 
 # ---------------------------------------------------------------------------

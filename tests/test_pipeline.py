@@ -281,6 +281,11 @@ BASELINE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                         "paper_baseline.json")
 
 
+def _baseline_section(key, **changes):
+    with open(BASELINE) as fh:
+        return {key: {**json.load(fh)[key], **changes}}
+
+
 @pytest.mark.parametrize("section, patch", [
     ("phase_match", {"phase_match": [1]}),
     ("grating", {"grating": 5}),
@@ -292,6 +297,10 @@ BASELINE = os.path.join(os.path.dirname(__file__), "..", "scenarios",
     ("pump.pulse_duration_ps", {"pump": {
         "repetition_rate_mhz": 19.27, "center_wavelength_nm": 1540.56,
         "spectral_fwhm_ghz": 31.6, "pulse_duration_ps": None}}),
+    ("channels", _baseline_section("channels", loopback="false")),
+    ("pump", _baseline_section("pump", pulse_duration_ps="x")),
+    ("pump", _baseline_section("pump", pulse_duration_ps=-1.0)),
+    ("grating", _baseline_section("grating", order="x")),
 ])
 def test_cli_malformed_section_exit_code(tmp_path, capsys, section, patch):
     with open(BASELINE) as fh:
@@ -336,6 +345,15 @@ def test_cli_sweep_subcommand(tmp_path, capsys):
                      "--out", str(out)]) == 0
     assert out.exists()
     capsys.readouterr()
+    # each subcommand takes only the flags it reads
+    for argv in (["sweep", "--config", cfg_path, "--parameter",
+                  "channels.noise_rate_per_s", "--values", "1e5",
+                  "--format", "csv"],
+                 ["analyze", "--config", cfg_path, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_calibrate_subcommand(tmp_path, capsys):
