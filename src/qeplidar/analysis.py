@@ -16,8 +16,8 @@ The analysis decisions are module constants, each set here and nowhere else:
 - ACC_SHIFTS = (-5, ..., -1, 1, ..., 5): the pump-period displacements
   whose windows are averaged for the accidentals;
 - MIN_CC = 10: same-pulse pairs a herald bin needs for a CAR;
-- MIN_COUNTS = 5, SIGMA_ABOVE_BASELINE = 5.0, PEAK_BREAK_PS = 250.0: the
-  target rule of cluster_ridge_bins;
+- SIGMA_ABOVE_BASELINE = 5.0, PEAK_BREAK_PS = 250.0: the target rule of
+  cluster_ridge_bins;
 - CAL_DEGREE = 3: highest degree of a time-to-wavelength polynomial;
 - SMOOTH_BINS = 2.0, PROMINENCE_FRAC = 0.05: spectral-feature smoothing
   (bins) and prominence (fraction of the curve's span);
@@ -40,7 +40,6 @@ from .source import PhaseMatchModel, PumpSpec, SpectralBand, jsi_weight
 WINDOW_PS = 100.0
 ACC_SHIFTS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
 MIN_CC = 10
-MIN_COUNTS = 5
 SIGMA_ABOVE_BASELINE = 5.0
 PEAK_BREAK_PS = 250.0
 CAL_DEGREE = 3
@@ -349,16 +348,15 @@ def cluster_ridge_bins(ridge: list) -> list:
     """Group significant adjacent herald bins into target candidates.
 
     This is the target rule.  A bin is significant when its coincidence
-    count is at least MIN_COUNTS and exceeds its own accidental baseline by
-    SIGMA_ABOVE_BASELINE standard deviations, n_cc > n_acc + 5 sqrt(max(n_acc,
-    1)).  Adjacent bins stay in one cluster only while their probe peaks
-    follow the t_probe + t_herald = const diagonal; a jump larger than
-    PEAK_BREAK_PS signals a target at a different range and starts a new
+    count exceeds its own accidental baseline by SIGMA_ABOVE_BASELINE
+    standard deviations, n_cc > n_acc + 5 sqrt(max(n_acc, 1)); as n_acc >= 0,
+    that needs n_cc > 5.  Adjacent bins stay in one cluster only while their
+    probe peaks follow the t_probe + t_herald = const diagonal; a jump larger
+    than PEAK_BREAK_PS signals a target at a different range and starts a new
     cluster.
     """
     significant = [rb for rb in ridge
-                   if rb.n_cc >= MIN_COUNTS
-                   and rb.n_cc > rb.n_acc + SIGMA_ABOVE_BASELINE * math.sqrt(
+                   if rb.n_cc > rb.n_acc + SIGMA_ABOVE_BASELINE * math.sqrt(
                        max(rb.n_acc, 1.0))]
     clusters = []
     current = []
@@ -383,21 +381,20 @@ def cluster_ridge_bins(ridge: list) -> list:
 
 @dataclass(frozen=True)
 class CountWindow:
-    """A 100 ps analysis window (2-D for coincidences, probe axis for SC)."""
+    """A WINDOW_PS analysis window (2-D for coincidences, probe axis for SC)."""
 
     probe_center_ps: float
     herald_center_ps: float
-    width_ps: float = WINDOW_PS
 
     @property
     def probe_interval(self):
-        return (self.probe_center_ps - self.width_ps / 2,
-                self.probe_center_ps + self.width_ps / 2)
+        return (self.probe_center_ps - WINDOW_PS / 2,
+                self.probe_center_ps + WINDOW_PS / 2)
 
     @property
     def herald_interval(self):
-        return (self.herald_center_ps - self.width_ps / 2,
-                self.herald_center_ps + self.width_ps / 2)
+        return (self.herald_center_ps - WINDOW_PS / 2,
+                self.herald_center_ps + WINDOW_PS / 2)
 
 
 @dataclass(frozen=True)
@@ -670,13 +667,12 @@ class RandomnessReport:
 
 def herald_time_density(pump: PumpSpec, pm: PhaseMatchModel,
                         herald_band: SpectralBand, probe_band: SpectralBand,
-                        dispersion: DispersionModel,
-                        jitter_fwhm_ps: float = 0.0):
+                        dispersion: DispersionModel, jitter_fwhm_ps: float):
     """Model pdf of herald arrival times: JSI marginal through dispersion.
 
-    The density is optionally convolved with the detector jitter so band
-    edges compare fairly against measured histograms.  Returns a callable
-    evaluating the (unnormalized) density at relative times in ps.
+    The density is convolved with the detector jitter so band edges compare
+    fairly against measured histograms.  Returns a callable evaluating the
+    (unnormalized) density at relative times in ps.
     """
     f_h = np.linspace(herald_band.lo_thz, herald_band.hi_thz, 1200)
     f_pr = np.linspace(probe_band.lo_thz, probe_band.hi_thz, 2400)
@@ -704,36 +700,29 @@ def herald_time_density(pump: PumpSpec, pm: PhaseMatchModel,
     return pdf
 
 
-def randomness_report(herald_rel_ps, *, expected_pdf=None,
-                      support_ps: tuple | None = None) -> RandomnessReport:
+def randomness_report(herald_rel_ps, *, expected_pdf) -> RandomnessReport:
     """Chi-square against the model marginal, serial correlation, min-entropy.
 
-    expected_pdf=None tests against a uniform distribution.  The binning
-    support defaults to the observed data range; pass the model's support so
-    data collapsed onto a few bins is still tested against the full
-    distribution.  Bins with expected count below 5 are pooled.
+    expected_pdf is the model density, evaluated at relative times in ps.
+    The bins span the observed data range; bins with expected count below 5
+    are pooled.
     """
     rel = np.asarray(herald_rel_ps, dtype=np.float64)
     if rel.size < MIN_RANDOMNESS_EVENTS:
         raise InsufficientDataError(f"{rel.size} events < {MIN_RANDOMNESS_EVENTS}"
                                     " required for randomness checks")
-    lo_raw, hi_raw = (rel.min(), rel.max()) if support_ps is None else support_ps
-    lo = math.floor(min(lo_raw, rel.min()) / WINDOW_PS) * WINDOW_PS
-    hi = math.ceil(max(hi_raw, rel.max()) / WINDOW_PS) * WINDOW_PS
+    lo = math.floor(rel.min() / WINDOW_PS) * WINDOW_PS
+    hi = math.ceil(rel.max() / WINDOW_PS) * WINDOW_PS
     if hi <= lo:
         hi = lo + WINDOW_PS
     edges = np.arange(lo, hi + WINDOW_PS, WINDOW_PS)
     observed, _ = np.histogram(rel, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    if expected_pdf is None:
-        expected = np.full(centers.size, 1.0)
-    else:
-        # integrate the density over each bin (midpoint subsampling) so
-        # sharp band edges are represented by their actual bin mass
-        sub = (np.arange(16) + 0.5) / 16.0
-        points = edges[:-1, None] + sub[None, :] * WINDOW_PS
-        expected = np.asarray(expected_pdf(points.ravel()),
-                              dtype=np.float64).reshape(points.shape).mean(axis=1)
+    # integrate the density over each bin (midpoint subsampling) so sharp
+    # band edges are represented by their actual bin mass
+    sub = (np.arange(16) + 0.5) / 16.0
+    points = edges[:-1, None] + sub[None, :] * WINDOW_PS
+    expected = np.asarray(expected_pdf(points.ravel()),
+                          dtype=np.float64).reshape(points.shape).mean(axis=1)
     if expected.sum() <= 0:
         raise AnalysisError("expected density vanishes over the data support")
     expected = expected / expected.sum() * rel.size

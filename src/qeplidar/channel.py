@@ -24,6 +24,10 @@ import numpy as np
 from . import rng
 from .model import C_M_PER_PS, C_NM_THZ, PS_PER_NS, PS_PER_S
 
+# Wavelengths (nm) over which a dispersion model is defined: arrival shifts
+# are computed, checked for monotonicity and inverted only inside this band.
+VALIDITY_BAND_NM = (1460.0, 1640.0)
+
 
 @dataclass(frozen=True)
 class DispersionModel:
@@ -32,7 +36,7 @@ class DispersionModel:
     linear mode: shift = slope * (lambda - anchor); polynomial mode adds
     higher-order terms (coefficients in ps/nm^k for k = 1.., no constant
     term) on top of nothing -- the polynomial IS the shift, and must be
-    strictly monotone over the validity band.
+    strictly monotone over VALIDITY_BAND_NM.
     """
 
     mode: str = "linear"
@@ -40,7 +44,6 @@ class DispersionModel:
     anchor_wavelength_nm: float = 1540.56
     polynomial_coefficients: tuple = ()
     fiber_length_km: float = 25.248
-    validity_band_nm: tuple = (1460.0, 1640.0)
 
     def __post_init__(self):
         if self.mode not in ("linear", "polynomial"):
@@ -52,12 +55,12 @@ class DispersionModel:
         if self.mode == "polynomial":
             if not self.polynomial_coefficients:
                 raise ValueError("polynomial mode requires coefficients")
-            lam = np.linspace(*self.validity_band_nm, 2001)
+            lam = np.linspace(*VALIDITY_BAND_NM, 2001)
             shifts = self._shift_ps(lam)
             if not (np.all(np.diff(shifts) > 0) or np.all(np.diff(shifts) < 0)):
                 raise ValueError(
                     "polynomial dispersion must be strictly monotone over "
-                    f"{self.validity_band_nm} nm")
+                    f"{VALIDITY_BAND_NM} nm")
 
     def _shift_ps(self, wavelength_nm):
         d = np.asarray(wavelength_nm) - self.anchor_wavelength_nm
@@ -71,10 +74,10 @@ class DispersionModel:
     def arrival_shift_ps(self, wavelength_nm):
         """Dispersive delay relative to the pump anchor, in ps."""
         lam = np.asarray(wavelength_nm)
-        lo, hi = self.validity_band_nm
+        lo, hi = VALIDITY_BAND_NM
         if np.any(lam < lo) or np.any(lam > hi):
             raise ValueError(
-                f"wavelength outside dispersion validity band {self.validity_band_nm}")
+                f"wavelength outside dispersion validity band {VALIDITY_BAND_NM}")
         return self._shift_ps(lam)
 
     def wavelength_at_shift(self, shift_ps):
@@ -82,7 +85,7 @@ class DispersionModel:
         if self.mode == "linear":
             return self.anchor_wavelength_nm + np.asarray(shift_ps) / (
                 self.slope_ns_per_nm * PS_PER_NS)
-        lam = np.linspace(*self.validity_band_nm, 200_001)
+        lam = np.linspace(*VALIDITY_BAND_NM, 200_001)
         shifts = self._shift_ps(lam)
         if shifts[0] > shifts[-1]:
             lam, shifts = lam[::-1], shifts[::-1]
@@ -242,23 +245,20 @@ def assign_targets(freq_thz, scene, grating: GratingSpec):
 
 def propagate_probe_batch(pulse_idx, slot_idx, freq_thz, gen_time_ps, scene,
                           grating, dispersion: DispersionModel,
-                          channel: ChannelSpec, seed: int,
-                          survival_stream: int = rng.PROBE_SURVIVAL):
+                          channel: ChannelSpec, seed: int, survival_stream: int):
     """Probe-side propagation for an emission batch.
 
-    Returns (arrival_ps, kept_indices, target_index) for surviving photons,
-    where kept_indices select into the input arrays.  Hit-or-miss is a pure
-    function of frequency and scene geometry; the survival draw only thins,
-    it never shifts timing.
+    Returns the arrival times (ps) of the surviving photons in input order.
+    Hit-or-miss is a pure function of frequency and scene geometry; the
+    survival draw only thins, it never shifts timing.
     """
     freq = np.asarray(freq_thz, dtype=np.float64)
     if freq.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.empty(0)
     base = dispersed_arrival(freq, gen_time_ps, dispersion)
     if channel.loopback:
         p_survive = np.full(freq.size, channel.probe_efficiency)
         arrival = base
-        target_index = np.full(freq.size, -1, dtype=np.int64)
     else:
         target_index = assign_targets(freq, scene, grating)
         eff = np.array([t.roundtrip_efficiency for t in scene], dtype=np.float64)
@@ -270,33 +270,30 @@ def propagate_probe_batch(pulse_idx, slot_idx, freq_thz, gen_time_ps, scene,
             p_survive[hit] = channel.probe_efficiency * eff[target_index[hit]]
             arrival[hit] = base[hit] + delay[target_index[hit]]
     u = rng.uniforms(seed, pulse_idx, survival_stream, slot_idx)
-    kept = np.flatnonzero(u < p_survive)
-    return arrival[kept], kept, target_index[kept]
+    return arrival[u < p_survive]
 
 
 def propagate_herald_batch(pulse_idx, slot_idx, freq_thz, gen_time_ps,
                            dispersion: DispersionModel, channel: ChannelSpec,
-                           seed: int,
-                           survival_stream: int = rng.HERALD_SURVIVAL):
+                           seed: int, survival_stream: int):
     """Herald-side propagation: Bernoulli(eta_H) thinning, dispersive delay.
 
-    Returns (arrival_ps, kept_indices).
+    Returns the arrival times (ps) of the surviving photons in input order.
     """
     freq = np.asarray(freq_thz, dtype=np.float64)
     if freq.size == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
+        return np.empty(0)
     u = rng.uniforms(seed, pulse_idx, survival_stream, slot_idx)
-    kept = np.flatnonzero(u < channel.herald_efficiency)
-    arrival = dispersed_arrival(freq[kept], np.asarray(gen_time_ps)[kept],
-                                dispersion)
-    return arrival, kept
+    kept = u < channel.herald_efficiency
+    return dispersed_arrival(freq[kept], np.asarray(gen_time_ps)[kept],
+                             dispersion)
 
 
 def sample_noise_arrivals(duration_s: float, rate_per_s: float,
                           generator: np.random.Generator):
     """Poisson-process background arrivals, uniform over [0, duration), in ps."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if duration_s < 0:
+        raise ValueError("duration must be non-negative")
     if rate_per_s < 0:
         raise ValueError("noise rate must be non-negative")
     count = generator.poisson(rate_per_s * duration_s)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analysis, pipeline, theory
 from .detect import read_tags, write_tags, write_tags_csv
-from .scenario import ScenarioError, load_scenario
+from .scenario import INTEGER_KEYS, ScenarioError, load_scenario
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -104,11 +104,10 @@ def cmd_theory(args) -> int:
     if "rates" in params:
         p = theory.RateParams(**params["rates"])
         probs = theory.detection_probabilities(p)
-        snr_c, snr_q = theory.snr_closed_form(p)
         out["rates"] = {
             **probs,
-            "snr_classical": snr_c,
-            "snr_quantum": snr_q,
+            "snr_classical": theory.snr_classical_closed_form(p),
+            "snr_quantum": theory.snr_quantum_closed_form(p),
             "esnr": theory.esnr_closed_form(p),
             "car": theory.car_closed_form(p),
         }
@@ -150,9 +149,21 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _sweep_value(text: str, integer_key: bool):
+    """An integer literal swept over an integer key stays an int; every other
+    value is a float, which validation rejects where an integer is needed."""
+    if integer_key:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return float(text)
+
+
 def cmd_sweep(args) -> int:
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v]
+    integer_key = args.parameter in INTEGER_KEYS
+    values = [_sweep_value(v, integer_key) for v in args.values.split(",") if v]
     rows = pipeline.sweep(config, args.parameter, values, threads=args.threads)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)) or ".", exist_ok=True)
     pipeline.sweep_rows_to_csv(rows, args.out)

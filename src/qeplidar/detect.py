@@ -34,7 +34,6 @@ HEADER = struct.Struct("<4sHQQ32s")
 CH_REF = 0
 CH_HERALD = 1
 CH_PROBE = 2
-CHANNEL_NAMES = {CH_REF: "REF", CH_HERALD: "HERALD", CH_PROBE: "PROBE"}
 
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp", "<i8")])
 

@@ -9,7 +9,6 @@ picoseconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Speed of light, exact by SI definition.
 SPEED_OF_LIGHT_M_PER_S = 299_792_458.0
@@ -57,32 +56,6 @@ def bandwidth_frequency_to_wavelength(delta_ghz: float, center_nm: float) -> flo
     if center_nm <= 0:
         raise ValueError(f"center wavelength must be positive, got {center_nm} nm")
     return delta_ghz * center_nm * center_nm / C_NM_GHZ
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A frequency/wavelength pair kept mutually consistent (lambda = c/f)."""
-
-    frequency_thz: float
-    wavelength_nm: float
-
-    def __post_init__(self):
-        if self.frequency_thz <= 0 or self.wavelength_nm <= 0:
-            raise ValueError("SpectralPoint requires positive frequency and wavelength")
-        rel = abs(self.frequency_thz * self.wavelength_nm - C_NM_THZ) / C_NM_THZ
-        if rel > 1e-9:
-            raise ValueError(
-                f"inconsistent pair: {self.frequency_thz} THz vs {self.wavelength_nm} nm "
-                f"(relative mismatch {rel:.3e})"
-            )
-
-    @classmethod
-    def from_wavelength(cls, wavelength_nm: float) -> "SpectralPoint":
-        return cls(wavelength_to_frequency(wavelength_nm), wavelength_nm)
-
-    @classmethod
-    def from_frequency(cls, frequency_thz: float) -> "SpectralPoint":
-        return cls(frequency_thz, frequency_to_wavelength(frequency_thz))
 
 
 def fwhm_to_sigma(fwhm: float) -> float:

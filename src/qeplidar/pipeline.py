@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from scipy import ndimage
 
-from . import analysis, rng
+from . import __version__, analysis, rng
 from .channel import propagate_herald_batch, propagate_probe_batch, sample_noise_arrivals
 from .detect import (CH_HERALD, CH_PROBE, CH_REF, DetectorSpec,
                      apply_dead_time, detect_channel, merge_streams)
@@ -35,7 +35,7 @@ from .model import bandwidth_frequency_to_wavelength, fwhm_to_sigma
 from .scenario import ScenarioConfig, SweepSpec
 from .source import pulse_time, sample_pulse_range
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 DEFAULT_BLOCK_PULSES = 1 << 21
 
 
@@ -71,9 +71,8 @@ def _simulate_block(config: ScenarioConfig, start: int, count: int):
     for fields, stream, side in _COMPONENTS:
         propagate, geometry = propagators[side]
         emission = [getattr(batch, name) for name in fields]
-        arrival = propagate(*emission, *geometry, config.dispersion,
-                            config.channels, config.seed, stream)[0]
-        parts[side].append(arrival)
+        parts[side].append(propagate(*emission, *geometry, config.dispersion,
+                                     config.channels, config.seed, stream))
     return np.concatenate(parts["herald"]), np.concatenate(parts["probe"])
 
 

@@ -5,14 +5,13 @@ once at the boundary).  An object section's file keys and defaults are the
 parameters of the constructor it builds, read from its signature:
 ``PumpSpec.from_wavelength``, ``EmissionRates``, ``GratingSpec``,
 ``DetectorSpec`` and so on.  The only exceptions: ``rates`` keys end in
-``_per_pulse``, ``DispersionModel.validity_band_nm`` is no file key,
-``channels`` requires both efficiencies, and a scene entry's ``id`` defaults
-to ``target{i}``.  Unknown keys are errors, not warnings; a typo in a physics
-parameter must not silently revert to a default.  A section that is not an
-object is an error too, and so is a null, except that the optional sections
-(``phase_match``, ``dispersion``, ``grating``, ``scene``) may be null for
-their defaults.  Validation collects every violation instead of failing on
-the first.
+``_per_pulse``, ``channels`` requires both efficiencies, and a scene entry's
+``id`` defaults to ``target{i}``.  Unknown keys are errors, not warnings; a
+typo in a physics parameter must not silently revert to a default.  A section
+that is not an object is an error too, and so is a null, except that the
+optional sections (``phase_match``, ``dispersion``, ``grating``, ``scene``)
+may be null for their defaults.  Validation collects every violation instead
+of failing on the first.
 """
 
 from __future__ import annotations
@@ -127,13 +126,12 @@ class ScenarioConfig:
 _REQUIRED = inspect.Parameter.empty
 
 
-def _schema(build, rename=(), drop=(), **defaults):
+def _schema(build, rename=(), **defaults):
     """(constructor, file key -> (parameter, default)) for one section, read
     from the constructor's signature; _REQUIRED marks a required key."""
     rename = dict(rename)
     return build, {rename.get(p.name, p.name): (p.name, defaults.get(p.name, p.default))
-                   for p in inspect.signature(build).parameters.values()
-                   if p.name not in drop}
+                   for p in inspect.signature(build).parameters.values()}
 
 
 # Every object section in file order.  Keys and defaults are the
@@ -145,7 +143,7 @@ _SECTIONS = {
     "phase_match": _schema(PhaseMatchModel),
     "herald_band": _schema(SpectralBand),
     "probe_band": _schema(SpectralBand),
-    "dispersion": _schema(DispersionModel, drop=("validity_band_nm",)),
+    "dispersion": _schema(DispersionModel),
     "grating": _schema(GratingSpec),
     "channels": _schema(ChannelSpec, probe_efficiency=_REQUIRED,
                         herald_efficiency=_REQUIRED),
@@ -159,6 +157,11 @@ _SCALARS = {"duration_s": float, "seed": int, "configurations": tuple,
 _OPTIONAL = {"phase_match": {}, "dispersion": {}, "grating": {}, "scene": []}
 _FIELDS = _schema(ScenarioConfig, **_OPTIONAL)[1]
 _TOP = {"version": ("version", _REQUIRED), **_FIELDS}
+# Dotted paths of the integer keys; every other numeric key takes floats.
+INTEGER_KEYS = frozenset(
+    [key for key, convert in _SCALARS.items() if convert is int]
+    + [f"{name}.{key}" for name, (_, keys) in _SECTIONS.items()
+       for key, (_, default) in keys.items() if type(default) is int])
 
 
 def _plain(obj, keys) -> dict:

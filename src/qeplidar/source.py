@@ -21,6 +21,9 @@ from scipy.special import ndtri
 from . import rng
 from .model import fwhm_to_sigma, frequency_to_wavelength, wavelength_to_frequency
 
+# Rejection rounds a pair-frequency draw may take before SamplingError.
+MAX_PAIR_ATTEMPTS = 1000
+
 
 class SamplingError(RuntimeError):
     """Rejection sampling failed to land inside the configured bands."""
@@ -214,7 +217,7 @@ def pulse_time(pulse_index: int, pump: PumpSpec):
 
 
 def _sample_pair_frequencies(seed, pulse_idx, slot_idx, pump, pm,
-                             herald_band, probe_band, attempt_cap):
+                             herald_band, probe_band):
     """Rejection-sample (f_h, f_pr) from the band-restricted JSI.
 
     Proposal: f_pr uniform over the probe band, sum detuning Gaussian per the
@@ -231,7 +234,7 @@ def _sample_pair_frequencies(seed, pulse_idx, slot_idx, pump, pm,
     lo_p, hi_p = probe_band.lo_thz, probe_band.hi_thz
     lo_h, hi_h = herald_band.lo_thz, herald_band.hi_thz
     flat_pm = all(c == 0.0 for c in pm.kappa_coefficients)
-    for attempt in range(attempt_cap):
+    for attempt in range(MAX_PAIR_ATTEMPTS):
         base = (slot_idx[pending].astype(np.uint64) << np.uint64(32)) \
             + np.uint64(3 * attempt)
         u_sum = rng.uniforms(seed, pulse_idx[pending], rng.PAIR_FREQ, base)
@@ -250,7 +253,7 @@ def _sample_pair_frequencies(seed, pulse_idx, slot_idx, pump, pm,
         if pending.size == 0:
             return f_h, f_pr
     raise SamplingError(
-        f"pair frequency sampling exceeded {attempt_cap} attempts; the JSI is "
+        f"pair frequency sampling exceeded {MAX_PAIR_ATTEMPTS} attempts; the JSI is "
         f"degenerate over herald band [{herald_band.lo_nm}, {herald_band.hi_nm}] nm "
         f"x probe band [{probe_band.lo_nm}, {probe_band.hi_nm}] nm"
     )
@@ -270,8 +273,8 @@ def _expand_counts(pulse_indices, counts):
 
 def sample_pulse_range(start: int, count: int, seed: int, rates: EmissionRates,
                        pump: PumpSpec, pm: PhaseMatchModel,
-                       herald_band: SpectralBand, probe_band: SpectralBand,
-                       attempt_cap: int = 1000) -> EmissionBatch:
+                       herald_band: SpectralBand,
+                       probe_band: SpectralBand) -> EmissionBatch:
     """Vectorized emission sampling for pulses [start, start + count).
 
     Output for each pulse depends only on (pulse_index, seed), never on the
@@ -295,8 +298,7 @@ def sample_pulse_range(start: int, count: int, seed: int, rates: EmissionRates,
     pair_pulse, pair_slot = _expand_counts(idx, k_pair)
     if pair_pulse.size:
         f_h, f_pr = _sample_pair_frequencies(
-            seed, pair_pulse, pair_slot, pump, pm, herald_band, probe_band,
-            attempt_cap)
+            seed, pair_pulse, pair_slot, pump, pm, herald_band, probe_band)
     else:
         f_h = f_pr = np.empty(0)
 

@@ -81,6 +81,7 @@ def detection_probabilities(p: RateParams) -> dict:
 
 
 def snr_classical_closed_form(p: RateParams) -> float:
+    """SNR_C; NaN where the noise-only denominator vanishes."""
     denom = p.nu_noise_p + p.nu_dc_p
     if denom <= 0:
         return math.nan
@@ -88,6 +89,7 @@ def snr_classical_closed_form(p: RateParams) -> float:
 
 
 def snr_quantum_closed_form(p: RateParams) -> float:
+    """SNR_Q; NaN where the noise-only denominator vanishes."""
     herald = _herald_factor(p)
     denom = (p.nu_noise_p + p.nu_dc_p) * herald
     if denom <= 0:
@@ -95,11 +97,6 @@ def snr_quantum_closed_form(p: RateParams) -> float:
     signal = p.nu_cc * p.eta_p * p.eta_h \
         + (p.nu_cc + p.nu_sc_p) * p.eta_p * herald
     return signal / denom
-
-
-def snr_closed_form(p: RateParams) -> tuple:
-    """(SNR_C, SNR_Q); NaN where the noise-only denominator vanishes."""
-    return snr_classical_closed_form(p), snr_quantum_closed_form(p)
 
 
 def esnr_closed_form(p: RateParams) -> float:

@@ -155,20 +155,20 @@ def test_probe_miss_outside_targets(pump, flat_pm, grating, dispersion):
     scene = (_target(1547.0, 0.05),)
     channel = ChannelSpec(1.0, 1.0)
     freq = np.array([C_NM_THZ / 1555.0])
-    arr, kept, tidx = propagate_probe_batch(
+    arr = propagate_probe_batch(
         np.array([0]), np.array([0]), freq, np.array([0]), scene, grating,
-        dispersion, channel, SEED)
-    assert kept.size == 0
+        dispersion, channel, SEED, rng.PROBE_SURVIVAL)
+    assert arr.size == 0
 
 
 def test_probe_zero_distance_keeps_dispersed_arrival(grating, dispersion):
     scene = (_target(1551.0, 0.2, distance=0.0),)
     channel = ChannelSpec(1.0, 1.0)
     freq = np.array([C_NM_THZ / 1551.0])
-    arr, kept, tidx = propagate_probe_batch(
+    arr = propagate_probe_batch(
         np.array([0]), np.array([0]), freq, np.array([100.0]), scene, grating,
-        dispersion, channel, SEED)
-    assert kept.size == 1
+        dispersion, channel, SEED, rng.PROBE_SURVIVAL)
+    assert arr.size == 1
     assert arr[0] == pytest.approx(
         float(dispersed_arrival(freq[0], 100.0, dispersion)))
 
@@ -177,9 +177,9 @@ def test_probe_roundtrip_delay_one_meter(grating, dispersion):
     scene = (_target(1551.0, 0.2, distance=1.0),)
     channel = ChannelSpec(1.0, 1.0)
     freq = np.array([C_NM_THZ / 1551.0])
-    arr, kept, _ = propagate_probe_batch(
+    arr = propagate_probe_batch(
         np.array([0]), np.array([0]), freq, np.array([0.0]), scene, grating,
-        dispersion, channel, SEED)
+        dispersion, channel, SEED, rng.PROBE_SURVIVAL)
     base = float(dispersed_arrival(freq[0], 0.0, dispersion))
     assert arr[0] - base == pytest.approx(6671.28, abs=1.0)
 
@@ -221,21 +221,21 @@ def test_herald_survival_extremes(dispersion):
     pulses = np.arange(1000)
     slots = np.zeros(1000, dtype=np.int64)
     times = np.zeros(1000)
-    arr, kept = propagate_herald_batch(pulses, slots, freq, times, dispersion,
-                                       ChannelSpec(1.0, 1.0), SEED)
-    assert kept.size == 1000
-    arr, kept = propagate_herald_batch(pulses, slots, freq, times, dispersion,
-                                       ChannelSpec(1.0, 0.0), SEED)
-    assert kept.size == 0
+    arr = propagate_herald_batch(pulses, slots, freq, times, dispersion,
+                                 ChannelSpec(1.0, 1.0), SEED, rng.HERALD_SURVIVAL)
+    assert arr.size == 1000
+    arr = propagate_herald_batch(pulses, slots, freq, times, dispersion,
+                                 ChannelSpec(1.0, 0.0), SEED, rng.HERALD_SURVIVAL)
+    assert arr.size == 0
 
 
 def test_herald_survival_binomial(dispersion):
     n = 100_000
     freq = np.full(n, C_NM_THZ / 1530.0)
-    arr, kept = propagate_herald_batch(np.arange(n), np.zeros(n, dtype=np.int64),
-                                       freq, np.zeros(n), dispersion,
-                                       ChannelSpec(1.0, 0.3), SEED)
-    assert abs(kept.size - 0.3 * n) <= 3 * math.sqrt(n * 0.3 * 0.7)
+    arr = propagate_herald_batch(np.arange(n), np.zeros(n, dtype=np.int64),
+                                 freq, np.zeros(n), dispersion,
+                                 ChannelSpec(1.0, 0.3), SEED, rng.HERALD_SURVIVAL)
+    assert abs(arr.size - 0.3 * n) <= 3 * math.sqrt(n * 0.3 * 0.7)
 
 
 def test_survival_affects_presence_not_timing(grating, dispersion):
@@ -244,15 +244,16 @@ def test_survival_affects_presence_not_timing(grating, dispersion):
     freq = np.full(n, C_NM_THZ / 1551.0)
     pulses = np.arange(n)
     slots = np.zeros(n, dtype=np.int64)
-    times = np.zeros(n)
-    full, kept_full, _ = propagate_probe_batch(
+    times = pulses * 1000.0            # distinct arrivals identify each photon
+    full = propagate_probe_batch(
         pulses, slots, freq, times, scene, grating, dispersion,
-        ChannelSpec(1.0, 1.0), SEED)
-    thinned, kept_thin, _ = propagate_probe_batch(
+        ChannelSpec(1.0, 1.0), SEED, rng.PROBE_SURVIVAL)
+    thinned = propagate_probe_batch(
         pulses, slots, freq, times, scene, grating, dispersion,
-        ChannelSpec(0.5, 1.0), SEED)
-    assert kept_thin.size < kept_full.size
-    assert np.array_equal(thinned, full[np.isin(kept_full, kept_thin)])
+        ChannelSpec(0.5, 1.0), SEED, rng.PROBE_SURVIVAL)
+    assert np.unique(full).size == full.size == n
+    assert 0 < thinned.size < full.size
+    assert np.array_equal(thinned, full[np.isin(full, thinned)])
 
 
 def test_scene_overlap_detected(grating):

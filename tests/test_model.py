@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from qeplidar.model import (
     C_NM_GHZ,
-    C_NM_THZ,
-    SpectralPoint,
     bandwidth_frequency_to_wavelength,
     bandwidth_wavelength_to_frequency,
     frequency_to_wavelength,
@@ -69,12 +67,3 @@ def test_bandwidth_roundtrip(delta, center):
     ghz = bandwidth_wavelength_to_frequency(delta, center)
     assert bandwidth_frequency_to_wavelength(ghz, center) == pytest.approx(
         delta, rel=1e-12)
-
-
-def test_spectral_point_consistency():
-    p = SpectralPoint.from_wavelength(1540.56)
-    assert p.frequency_thz * p.wavelength_nm == pytest.approx(C_NM_THZ)
-    q = SpectralPoint.from_frequency(p.frequency_thz)
-    assert q.wavelength_nm == pytest.approx(1540.56, rel=1e-12)
-    with pytest.raises(ValueError):
-        SpectralPoint(194.6, 1551.0)

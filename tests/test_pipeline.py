@@ -25,11 +25,12 @@ OFF = "probe:off|noise:on"
 
 
 def test_zero_duration_yields_valid_empty_streams():
-    config = loopback_scenario(duration_s=0.0)
-    streams = simulate(config)
-    for stream in streams.values():
-        assert len(stream) == 0
-        assert stream.fingerprint == config.fingerprint()
+    for noise_rate in (0.0, 1e5):
+        config = loopback_scenario(duration_s=0.0, noise_rate=noise_rate)
+        streams = simulate(config)
+        for stream in streams.values():
+            assert len(stream) == 0
+            assert stream.fingerprint == config.fingerprint()
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -343,7 +344,17 @@ def test_cli_sweep_subcommand(tmp_path, capsys):
     assert cli.main(["sweep", "--config", cfg_path, "--parameter",
                      "channels.noise_rate_per_s", "--values", "1e5,2e5",
                      "--out", str(out)]) == 0
-    assert out.exists()
+
+    def swept_values():
+        return {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+
+    assert swept_values() == {"100000.0", "200000.0"}
+    # an integer key is swept with integers; a fraction fails validation
+    assert cli.main(["sweep", "--config", cfg_path, "--parameter",
+                     "grating.order", "--values", "-1", "--out", str(out)]) == 0
+    assert swept_values() == {"-1"}
+    assert cli.main(["sweep", "--config", cfg_path, "--parameter",
+                     "grating.order", "--values", "1.5", "--out", str(out)]) == 1
     capsys.readouterr()
     # each subcommand takes only the flags it reads
     for argv in (["sweep", "--config", cfg_path, "--parameter",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from qeplidar import rng
+from qeplidar import rng, source
 from qeplidar.source import (
     EmissionRates,
     PhaseMatchModel,
@@ -259,13 +259,14 @@ def test_rejection_2d_histogram_matches_jsi(pump, flat_pm, herald_band, probe_ba
     assert (excess > 0).sum() <= 0.01 * nbins * nbins
 
 
-def test_sampling_error_names_band(pump, probe_band):
+def test_sampling_error_names_band(pump, probe_band, monkeypatch):
     # a violently oscillating phase match rejects everything
     pm = PhaseMatchModel(kappa_coefficients=(2 * math.pi / 0.01,), length_m=0.01)
     herald = SpectralBand(1530.0, 13.0)
+    monkeypatch.setattr(source, "MAX_PAIR_ATTEMPTS", 5)
     with pytest.raises(SamplingError, match="band"):
         sample_pulse_range(0, 2000, SEED, EmissionRates(0.5), pump, pm,
-                           herald, probe_band, attempt_cap=5)
+                           herald, probe_band)
 
 
 def test_band_overlap_rejected(pump, flat_pm):

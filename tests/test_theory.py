@@ -19,7 +19,8 @@ from qeplidar.theory import (
     fisher_numeric_oracle,
     fisher_numeric_oracle_classical,
     fisher_rates,
-    snr_closed_form,
+    snr_classical_closed_form,
+    snr_quantum_closed_form,
 )
 
 T_PUMP = 1.0 / 19.27e6
@@ -58,15 +59,14 @@ def test_high_composite_rate_warns():
 
 def test_snr_classical_unity_when_noise_equals_signal():
     p = RateParams(0.01, nu_noise_p=0.01, eta_p=1.0)
-    snr_c, _ = snr_closed_form(p)
-    assert snr_c == pytest.approx(1.0)
+    assert snr_classical_closed_form(p) == pytest.approx(1.0)
 
 
 def test_snr_classical_inverse_noise_scaling():
     values = []
     for noise in (1e-4, 1e-3, 1e-2):
         p = RateParams(0.01, nu_noise_p=noise, eta_p=0.5, eta_h=0.5)
-        values.append(snr_closed_form(p)[0])
+        values.append(snr_classical_closed_form(p))
     slopes = np.diff(np.log10(values)) / 1.0
     assert np.allclose(slopes, -1.0, atol=1e-12)
 
@@ -77,13 +77,13 @@ def test_snr_quantum_direct_substitution():
     herald = (0.01 + 0.001) * 0.6 + 0.0003
     expected = (0.01 * 0.4 * 0.6 + (0.01 + 0.002) * 0.4 * herald) / (
         (0.02 + 0.0005) * herald)
-    assert snr_closed_form(p)[1] == pytest.approx(expected, rel=1e-12)
+    assert snr_quantum_closed_form(p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_undefined_snr_flagged_as_nan():
     p = RateParams(0.01)
-    snr_c, snr_q = snr_closed_form(p)
-    assert math.isnan(snr_c) and math.isnan(snr_q)
+    assert math.isnan(snr_classical_closed_form(p))
+    assert math.isnan(snr_quantum_closed_form(p))
 
 
 def test_esnr_low_rate_limit():
